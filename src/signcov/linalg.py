@@ -34,16 +34,18 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     d2 = np.einsum("ij,ij->i", X, X)
-    # outside this range the plain sum of squares is zero, subnormal
-    # (reduced precision), or at overflow risk
-    bad = ~((d2 >= 1e-280) & (d2 <= 1e280))
     r = np.sqrt(d2)
-    if np.any(bad):
-        sub = X[bad]
-        m = np.max(np.abs(sub), axis=1)
-        safe = np.where(m > 0.0, m, 1.0)
-        scaled = sub / safe[:, None]
-        r[bad] = safe * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    # outside this range the plain sum of squares is zero, subnormal
+    # (reduced precision), or at overflow risk; two reductions settle the
+    # common all-in-range case (NaN sums fail it too)
+    if d2.size == 0 or (d2.min() >= 1e-280 and d2.max() <= 1e280):
+        return r
+    bad = ~((d2 >= 1e-280) & (d2 <= 1e280))
+    sub = X[bad]
+    m = np.max(np.abs(sub), axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    scaled = sub / safe[:, None]
+    r[bad] = safe * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
     return r
 
 

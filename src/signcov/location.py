@@ -10,11 +10,17 @@ non-optimal data point step off along the damped reweighted direction
 reweighting never reaches exactly) snap onto it once the test passes.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
+
+A result's objective and degenerate_geometry are computed on first read,
+from the sample the call received: the Monte Carlo harness reads neither,
+and the geometry test costs an SVD of the whole sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +63,15 @@ class LocationResult:
     """A location estimate plus solver diagnostics.
 
     anchored means the estimate coincides (exact float equality) with a data
-    point. degenerate_geometry is an advisory flag: the sample is numerically
-    concentrated on a line, so the spatial median may be non-unique; the
-    returned point is whatever the iteration converged to.
+    point. sample holds the observations the estimate was computed from.
+
+    objective (the summed distance from the sample to the estimate) and
+    degenerate_geometry are computed on first read from sample and cached;
+    a sample modified in place before that read changes them.
+    degenerate_geometry is an advisory flag of the spatial median: the
+    sample is numerically concentrated on a line, so the minimizer may be
+    non-unique; the returned point is whatever the iteration converged to.
+    It is False for the other methods.
     """
 
     estimate: np.ndarray
@@ -67,9 +79,18 @@ class LocationResult:
     iterations: int
     converged: bool
     anchored: bool
-    objective: float
-    degenerate_geometry: bool = False
+    sample: np.ndarray = field(repr=False, compare=False)
     objective_history: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def objective(self) -> float:
+        return l1_objective(self.sample, self.estimate)
+
+    @cached_property
+    def degenerate_geometry(self) -> bool:
+        return self.method == "spatial_median" and _degenerate_geometry(
+            self.sample
+        )
 
 
 def _as_sample(X) -> np.ndarray:
@@ -124,7 +145,7 @@ def sample_mean(X) -> LocationResult:
         iterations=0,
         converged=True,
         anchored=bool(np.any(_coincident_mask(X, est))),
-        objective=l1_objective(X, est),
+        sample=X,
     )
 
 
@@ -191,12 +212,12 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     for _ in range(opts.max_iterations):
         diffs = X - y
         r = row_norms(diffs)
-        if np.all(r > 0.0):
+        nearest = int(r.argmin())
+        rmin = float(r[nearest])
+        if rmin > 0.0:  # all radii positive; argmin returns a NaN if any
             eta = 0
-            nearest = int(np.argmin(r))
-            rmin = float(r[nearest])
             if rmin <= snap_gate and rmin < 0.5 * tested_radius.get(
-                nearest, np.inf
+                nearest, math.inf
             ):
                 if _anchored_optimal_at(X, X[nearest]):
                     y = X[nearest].copy()
@@ -212,7 +233,7 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
             eta = int(n - np.count_nonzero(active))
             w = 1.0 / r[active]
             resultant = w @ diffs[active] if w.size else np.zeros(p)
-        norm_res = float(np.sqrt(resultant @ resultant))
+        norm_res = math.sqrt(float(resultant @ resultant))
 
         if eta > 0:
             if norm_res <= eta:
@@ -229,14 +250,14 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
 
         step = (shrink / float(w.sum())) * resultant
         y_next = y + step
-        if np.array_equal(y_next, y):
+        if not (y_next != y).any():
             # cannot move at floating-point resolution; stop uncertified
             break
         y = y_next
         iterations += 1
         if history is not None:
             history.append(l1_objective(X, y))
-        step_norm = float(np.sqrt(step @ step))
+        step_norm = math.sqrt(float(step @ step))
         small_step = step_norm <= threshold
         stalled_steps = stalled_steps + 1 if step_norm <= stall_floor else 0
         if stalled_steps >= 2:
@@ -250,7 +271,6 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
         iterations=iterations,
         converged=converged,
         anchored=anchored,
-        objective=l1_objective(X, y),
-        degenerate_geometry=_degenerate_geometry(X),
+        sample=X,
         objective_history=None if history is None else np.asarray(history),
     )

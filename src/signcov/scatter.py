@@ -32,8 +32,6 @@ from .location import (
     spatial_median,
 )
 
-VARIANTS = ("fixed_location", "plugin", "starred", "symmetrized", "population")
-
 # Above this many pair-coordinates the symmetrized estimator accumulates in
 # row blocks instead of materializing all pairwise differences at once.
 _PAIR_BUFFER_LIMIT = 2_000_000
@@ -126,7 +124,7 @@ def sscm_plugin(
             iterations=0,
             converged=True,
             anchored=bool(np.any(np.all(X == t, axis=1))),
-            objective=float(np.sum(row_norms(X - t))),
+            sample=X,
         )
     else:
         raise InvalidInputError(f"unknown location method {method!r}")

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -281,11 +282,20 @@ def _run_task(task) -> np.ndarray:
     return out
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidInputError("workers must be at least 1")
+
+
 def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     """Replication values for every cell, shape (R, n_methods) each,
-    assembled in replication order regardless of worker count."""
+    assembled in replication order regardless of worker count.
+
+    The pool never exceeds the task count or the machine's CPU count."""
+    _check_workers(workers)
+    workers = min(workers, os.cpu_count() or 1)
     R = config.replications
-    chunk = max(1, math.ceil(R / (max(1, workers) * 4)))
+    chunk = max(1, math.ceil(R / (workers * 4)))
     tasks = []
     for cell_index, payload in enumerate(payloads):
         lo = 0
@@ -293,6 +303,7 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
             hi = min(R, lo + chunk)
             tasks.append((config, payload, cell_index, lo, hi))
             lo = hi
+    workers = min(workers, len(tasks))
     if workers <= 1:
         chunks = [_run_task(t) for t in tasks]
     else:
@@ -371,6 +382,7 @@ def run_qq_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentR
     """
     if config.statistic != "qq":
         raise InvalidInputError("config.statistic must be 'qq'")
+    _check_workers(workers)  # before the costly reference quantities
     start = time.perf_counter()
     model = config.model
     i, j = config.element

@@ -243,6 +243,20 @@ def test_table_worker_independence(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_code(tmp_path, capsys, workers):
+    cfg_path = table_config(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        ["table", "--config", cfg_path, "--fast", "--workers", workers,
+         "--out", str(out_dir)],
+    )
+    assert code == 2
+    assert "workers must be at least 1" in err
+    assert not (out_dir / "table.csv").exists()
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     cfg_path = table_config(tmp_path, seed=1)
     env_dir = tmp_path / "env"

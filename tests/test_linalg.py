@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from signcov import (
     InvalidInputError,
     frobenius_sq_distance,
     kron,
+    row_norms,
     sign_outer,
     spatial_sign,
     spatial_signs,
@@ -152,3 +156,63 @@ def test_recentering_identity_residual(seed):
         + ((2.0 * float(x @ t) - float(t @ t)) / xx) * sign_outer(x - t)
     )
     assert np.linalg.norm(lhs - rhs) <= 1e-9
+
+
+def _scaled_reference_norm(x) -> float:
+    """Euclidean norm by max-entry rescaling and an exactly rounded sum."""
+    m = max(abs(float(v)) for v in x)
+    if m == 0.0:
+        return 0.0
+    return m * math.sqrt(math.fsum((float(v) / m) ** 2 for v in x))
+
+
+def _row_norm_inputs() -> dict:
+    """Seeded inputs for row_norms: one that stays on the plain path, one
+    whose every row is rescaled, and one that mixes both in a call."""
+    rng = np.random.default_rng(154)
+    plain = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-100, 100, (40, 1))
+    tiny = rng.standard_normal((10, 4)) * 1e-160
+    huge = rng.standard_normal((10, 4)) * 1e160
+    inner = np.array([[1e160, 1e-160, 1.0], [1e-160, -2e-160, 0.0],
+                      [-3e155, 4e155, 0.0], [5e-300, 0.0, -5e-300],
+                      [3e-170, 4e-170, 0.0], [3e170, -4e170, 0.0],
+                      [0.0, 5e-324, 0.0]])
+    mixed = np.vstack([
+        rng.standard_normal((12, 3)) * 10.0 ** rng.integers(-200, 200, (12, 1)),
+        inner,
+        np.zeros((3, 3)),
+    ])
+    return {"plain": plain, "rescaled": np.vstack([tiny, huge]), "mixed": mixed}
+
+
+# sha256 of row_norms(input).tobytes(), recorded from the implementation
+# that tested every row with a four-ufunc mask (see test_bit_identity.py for
+# the platform these digests hold on)
+ROW_NORM_DIGESTS = {
+    "plain": "5f8290ffde0d4e2871564a6ebe8a5851ae6d2735b087cb525e805f188ec526c8",
+    "rescaled": "fd175e0e3c0733c1193045ec050cf422fe68bce7af693037d708d395e6b44b11",
+    "mixed": "8ed7a71890cbce262dfa5adfda120fde9d25842708456f049f9b6e42fa0f03f0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_NORM_DIGESTS))
+def test_row_norms_bits_pinned(name):
+    r = row_norms(_row_norm_inputs()[name])
+    assert hashlib.sha256(r.tobytes()).hexdigest() == ROW_NORM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["plain", "rescaled", "mixed"])
+def test_row_norms_match_scaled_reference(name):
+    X = _row_norm_inputs()[name]
+    r = row_norms(X)
+    want = np.array([_scaled_reference_norm(row) for row in X])
+    np.testing.assert_allclose(r, want, rtol=4e-16, atol=0.0)
+    assert np.all(np.isfinite(r))
+    assert np.all((r > 0.0) == np.any(X != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("p", [0, 1, 5])
+def test_row_norms_empty_input(p):
+    r = row_norms(np.empty((0, p)))
+    assert r.shape == (0,)
+    assert r.dtype == np.float64

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import signcov.simharness as harness
 from signcov import (
     ExperimentConfig,
     InvalidInputError,
@@ -123,6 +124,56 @@ def test_worker_count_independence(tmp_path):
         write_result_csv(res, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(InvalidInputError, match="workers"):
+        run_table_experiment(small_table_config(), workers=workers)
+    qq = ExperimentConfig(
+        statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
+        replications=4, master_seed=3, ref_draws=1000,
+    )
+    with pytest.raises(InvalidInputError, match="workers"):
+        run_qq_experiment(qq, workers=workers)
+
+
+class _SerialPool:
+    """Stand-in for a multiprocessing pool that maps in this process, so no
+    worker process starts."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,expected",
+    [(1000, 3, 3), (1000, 64, 12), (5, 64, 5), (2, None, None)],
+)
+def test_pool_capped_by_tasks_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
+    # 2 x 2 cells of 3 replications, one replication per task: 12 tasks
+    cfg = small_table_config(replications=3)
+    serial = tmp_path / "serial.csv"
+    write_result_csv(run_table_experiment(cfg, workers=1), serial)
+    sizes = []
+
+    def pool(processes):
+        sizes.append(processes)
+        return _SerialPool()
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    pooled = tmp_path / "pooled.csv"
+    write_result_csv(run_table_experiment(cfg, workers=workers), pooled)
+    # os.cpu_count() may report None: one worker, no pool
+    assert sizes == ([] if expected is None else [expected])
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_qq_structure_and_determinism():
