@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import require_finite, row_norms, spatial_signs, symmetrize
+from .linalg import matrix_json, require_finite, row_norms, spatial_signs, symmetrize
 from .location import _as_sample
 
 # flag joint-covariance estimates on samples whose coordinates show this
@@ -150,27 +150,29 @@ class AsymptoticsBundle:
 
     block_matrix is (sensitivity, I_{p^2}) and plugin_cov is
     block_matrix @ joint_cov @ block_matrix^T; joint_cov (and therefore
-    plugin_cov) is meaningful for the sample-mean location.
+    plugin_cov) is meaningful for the sample-mean location only, and is None
+    for any other.
     """
 
     fixed_cov: np.ndarray
     sensitivity: np.ndarray
-    joint_cov: np.ndarray
-    block_matrix: np.ndarray
-    plugin_cov: np.ndarray
     n_used: int
+    joint_cov: np.ndarray | None = None
+    plugin_cov: np.ndarray | None = None
+
+    @property
+    def block_matrix(self) -> np.ndarray:
+        return np.hstack([self.sensitivity, np.eye(self.sensitivity.shape[0])])
 
     def to_json_dict(self) -> dict:
-        def mat(M):
-            M = np.asarray(M)
-            return {"dims": list(M.shape), "data": M.ravel(order="C").tolist()}
-
         return {
-            "fixed_cov": mat(self.fixed_cov),
-            "sensitivity": mat(self.sensitivity),
-            "joint_cov": mat(self.joint_cov),
-            "block_matrix": mat(self.block_matrix),
-            "plugin_cov": mat(self.plugin_cov),
+            "fixed_cov": matrix_json(self.fixed_cov),
+            "sensitivity": matrix_json(self.sensitivity),
+            "joint_cov": matrix_json(self.joint_cov),
+            "block_matrix": None
+            if self.joint_cov is None
+            else matrix_json(self.block_matrix),
+            "plugin_cov": matrix_json(self.plugin_cov),
             "n_used": self.n_used,
         }
 
@@ -182,12 +184,10 @@ def compute_bundle(X, t) -> AsymptoticsBundle:
     W = fixed_location_cov(X, t)
     B = location_sensitivity(X, t)
     J = joint_mean_cov(X, t)
-    A = np.hstack([B, np.eye(B.shape[0])])
     return AsymptoticsBundle(
         fixed_cov=W,
         sensitivity=B,
         joint_cov=J,
-        block_matrix=A,
         plugin_cov=sandwich_cov(B, J),
         n_used=X.shape[0],
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,13 +29,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import compute_bundle, fixed_location_cov, location_sensitivity
+from .asymptotics import (
+    AsymptoticsBundle,
+    compute_bundle,
+    fixed_location_cov,
+    location_sensitivity,
+)
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
     UnsupportedCombinationError,
 )
-from .location import sample_mean, spatial_median
+from .linalg import matrix_json
+from .location import LOCATION_METHODS, locate
+from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
     SeededStream,
@@ -43,6 +51,7 @@ from .models import (
 )
 from .scatter import ScatterMatrix, sscm_plugin, sscm_star, ssscm
 from .simharness import (
+    STATISTICS,
     ExperimentConfig,
     run_experiment,
     write_metadata_json,
@@ -55,11 +64,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_UNSUPPORTED = 4
-
-
-def _matrix_json(M) -> dict:
-    M = np.asarray(M, dtype=float)
-    return {"dims": list(M.shape), "data": M.ravel(order="C").tolist()}
 
 
 def read_numeric_csv(path) -> np.ndarray:
@@ -105,19 +109,34 @@ def read_numeric_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _parse_fixed(text: str, p: int) -> np.ndarray:
+def _read_input(args) -> tuple[np.ndarray, np.ndarray | None]:
+    """The CSV sample of a file-input command and its --fixed location
+    (None unless --location fixed)."""
+    X = read_numeric_csv(args.input)
+    if X.shape[0] < 2 or X.shape[1] < 2:
+        raise InvalidInputError(
+            f"need at least 2 rows and 2 columns, got {X.shape[0]}x{X.shape[1]}"
+        )
+    if args.location != "fixed":
+        return X, None
+    if args.fixed is None:
+        raise InvalidInputError('--location fixed requires --fixed "c1,c2,..."')
     try:
-        vals = [float(v) for v in text.split(",")]
+        t = np.asarray([float(v) for v in args.fixed.split(",")])
     except ValueError:
-        raise InvalidInputError(f"--fixed must be comma-separated numbers: {text!r}")
-    if len(vals) != p:
-        raise InvalidInputError(f"--fixed has {len(vals)} coordinates, data has {p}")
-    return np.asarray(vals)
+        raise InvalidInputError(
+            f"--fixed must be comma-separated numbers: {args.fixed!r}"
+        ) from None
+    if t.size != X.shape[1]:
+        raise InvalidInputError(
+            f"--fixed has {t.size} coordinates, data has {X.shape[1]}"
+        )
+    return X, t
 
 
 def _scatter_json(s: ScatterMatrix) -> dict:
     return {
-        "matrix": _matrix_json(s.matrix),
+        "matrix": matrix_json(s.matrix),
         "variant": s.variant,
         "n_effective": s.n_effective,
         "location_used": None
@@ -126,30 +145,22 @@ def _scatter_json(s: ScatterMatrix) -> dict:
     }
 
 
-def _emit(payload, out_path, fmt: str):
+def _emit(payload, out_path, fmt: str = "json"):
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:  # csv: section,i,j,value rows for matrices; section,k,,value for vectors
-        lines = ["section,i,j,value"]
-
-        def add_matrix(section, mat):
-            dims = mat["dims"]
-            data = mat["data"]
-            for r in range(dims[0]):
-                for c in range(dims[1]):
-                    lines.append(f"{section},{r},{c},{data[r * dims[1] + c]!r}")
-
-        def add_vector(section, vec):
-            for k, v in enumerate(vec):
-                lines.append(f"{section},{k},,{v!r}")
-
-        loc = payload["location"]
-        add_vector("location", loc["estimate"])
-        add_matrix("sscm", payload["sscm"]["matrix"])
-        if payload.get("starred"):
-            add_matrix("starred", payload["starred"]["matrix"])
-        if payload.get("symmetrized"):
-            add_matrix("symmetrized", payload["symmetrized"]["matrix"])
+        lines = ["section,i,j,value"] + [
+            f"location,{k},,{v!r}"
+            for k, v in enumerate(payload["location"]["estimate"])
+        ]
+        for section in ("sscm", "starred", "symmetrized"):
+            if payload[section]:
+                mat = payload[section]["matrix"]
+                cols = mat["dims"][1]
+                lines += [
+                    f"{section},{k // cols},{k % cols},{v!r}"
+                    for k, v in enumerate(mat["data"])
+                ]
         text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -159,16 +170,7 @@ def _emit(payload, out_path, fmt: str):
 
 
 def cmd_estimate(args) -> int:
-    X = read_numeric_csv(args.input)
-    if X.shape[0] < 2 or X.shape[1] < 2:
-        raise InvalidInputError(
-            f"need at least 2 rows and 2 columns, got {X.shape[0]}x{X.shape[1]}"
-        )
-    t = None
-    if args.location == "fixed":
-        if args.fixed is None:
-            raise InvalidInputError('--location fixed requires --fixed "c1,c2,..."')
-        t = _parse_fixed(args.fixed, X.shape[1])
+    X, t = _read_input(args)
     scatter, loc, report = sscm_plugin(X, method=args.location, t=t)
 
     payload = {
@@ -187,16 +189,12 @@ def cmd_estimate(args) -> int:
             "n_star": report.n_star,
             "indices_coincident": report.indices_coincident,
         },
-        "starred": None,
-        "symmetrized": None,
-        "asymptotics": None,
+        "starred": _scatter_json(sscm_star(X, loc.estimate)) if args.star else None,
+        "symmetrized": _scatter_json(ssscm(X)) if args.symmetrized else None,
+        "asymptotics": _bundle_payload(X, args.location, loc.estimate)
+        if args.asymptotics
+        else None,
     }
-    if args.star:
-        payload["starred"] = _scatter_json(sscm_star(X, loc.estimate))
-    if args.symmetrized:
-        payload["symmetrized"] = _scatter_json(ssscm(X))
-    if args.asymptotics:
-        payload["asymptotics"] = _bundle_payload(X, args.location, loc.estimate)
     _emit(payload, args.out, args.output)
     return EXIT_OK
 
@@ -207,19 +205,15 @@ def _bundle_payload(X, location_method: str, t) -> dict:
     plug-in pieces are null."""
     if location_method == "mean":
         bundle = compute_bundle(X, t)
-        out = bundle.to_json_dict()
     else:
-        out = {
-            "fixed_cov": _matrix_json(fixed_location_cov(X, t)),
-            "sensitivity": _matrix_json(location_sensitivity(X, t)),
-            "joint_cov": None,
-            "block_matrix": None,
-            "plugin_cov": None,
-            "n_used": int(X.shape[0]),
-        }
-    out["location_used"] = np.asarray(t).tolist()
-    out["location_method"] = location_method
-    return out
+        bundle = AsymptoticsBundle(
+            fixed_location_cov(X, t), location_sensitivity(X, t), int(X.shape[0])
+        )
+    return {
+        **bundle.to_json_dict(),
+        "location_used": np.asarray(t).tolist(),
+        "location_method": location_method,
+    }
 
 
 def cmd_oracle(args) -> int:
@@ -229,47 +223,24 @@ def cmd_oracle(args) -> int:
             raise UnsupportedCombinationError(
                 "closed-form oracle is available only for p = 2"
             )
-        s = population_sscm_closed_p2(model.V)
-        payload = {
-            "matrix": _matrix_json(s.matrix),
-            "se": None,
-            "method": "closed",
-            "n_draws": None,
-        }
+        s, se, n_draws = population_sscm_closed_p2(model.V), None, None
     else:
         seed = _resolve_seed(args.seed, default=0)
-        s, se = population_sscm_mc(model, args.mc_size, SeededStream(seed, 0))
-        payload = {
-            "matrix": _matrix_json(s.matrix),
-            "se": _matrix_json(se),
-            "method": "mc",
-            "n_draws": args.mc_size,
-        }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        n_draws = args.mc_size
+        s, se = population_sscm_mc(model, n_draws, SeededStream(seed, 0))
+    _emit({
+        "matrix": matrix_json(s.matrix),
+        "se": matrix_json(se),
+        "method": args.method,
+        "n_draws": n_draws,
+    }, None)
     return EXIT_OK
 
 
 def cmd_asymptotics(args) -> int:
-    X = read_numeric_csv(args.input)
-    if X.shape[0] < 2 or X.shape[1] < 2:
-        raise InvalidInputError(
-            f"need at least 2 rows and 2 columns, got {X.shape[0]}x{X.shape[1]}"
-        )
-    if args.location == "mean":
-        t = sample_mean(X).estimate
-    elif args.location == "median":
-        t = spatial_median(X).estimate
-    else:
-        if args.fixed is None:
-            raise InvalidInputError('--location fixed requires --fixed "c1,c2,..."')
-        t = _parse_fixed(args.fixed, X.shape[1])
-    payload = _bundle_payload(X, args.location, t)
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    X, t = _read_input(args)
+    t = locate(X, args.location, t=t).estimate
+    _emit(_bundle_payload(X, args.location, t), args.out)
     return EXIT_OK
 
 
@@ -302,9 +273,7 @@ def cmd_experiment(args) -> int:
         )
     seed = _resolve_seed(args.seed, default=config.master_seed)
     if seed != config.master_seed:
-        config = ExperimentConfig.from_json_dict(
-            {**config.to_json_dict(), "master_seed": seed}
-        )
+        config = dataclasses.replace(config, master_seed=seed)
     if args.fast:
         config = config.fast_profile()
 
@@ -323,20 +292,16 @@ def cmd_experiment(args) -> int:
 
 
 def _print_summary(result) -> None:
-    if result.statistic == "qq":
-        sys.stdout.write("n method sigma2 ks\n")
-        for c in result.cells:
-            sys.stdout.write(f"{c.n} {c.method} {c.sigma2:.6g} {c.ks:.6g}\n")
-    else:
-        header = (
-            "p n method mean se\n"
-            if result.statistic == "table"
-            else "p gamma n method mean_abs_error se\n"
-        )
-        sys.stdout.write(header)
-        for c in result.cells:
-            lead = f"{c.p} " if c.gamma is None else f"{c.p} {c.gamma:g} "
-            sys.stdout.write(f"{lead}{c.n} {c.method} {c.mean:.6g} {c.se:.6g}\n")
+    """The summary header, then one line per cell of the values its
+    metadata shows, leaving out those that do not apply (None)."""
+    stat = STATISTICS[result.statistic]
+    sys.stdout.write(stat.summary_header + "\n")
+    for c in result.cells:
+        fields = (getattr(c, name) for name in stat.columns)
+        sys.stdout.write(" ".join(
+            f"{v:.6g}" if isinstance(v, float) else str(v)
+            for v in fields if v is not None
+        ) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,12 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="estimate location and SSCM from a CSV file")
-    est.add_argument("input", help="numeric CSV (header auto-detected)")
-    est.add_argument(
-        "--location", choices=["mean", "median", "fixed"], default="median"
+    def file_command(name, help_text, handler, location):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("input", help="numeric CSV (header auto-detected)")
+        cmd.add_argument("--location", choices=LOCATION_METHODS, default=location)
+        cmd.add_argument("--fixed", help='fixed location as "c1,c2,..."')
+        cmd.add_argument("--out", help="output path (default: stdout)")
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    est = file_command(
+        "estimate", "estimate location and SSCM from a CSV file", cmd_estimate, "median"
     )
-    est.add_argument("--fixed", help='fixed location as "c1,c2,..."')
     est.add_argument("--star", action="store_true", help="include the trace-1 variant")
     est.add_argument(
         "--symmetrized", action="store_true", help="include the pairwise-difference SSCM"
@@ -360,21 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--asymptotics", action="store_true", help="include the limit-covariance bundle"
     )
     est.add_argument("--output", choices=["json", "csv"], default="json")
-    est.add_argument("--out", help="output path (default: stdout)")
 
     orc = sub.add_parser("oracle", help="population SSCM of a model")
     orc.add_argument("--model", required=True, help="model JSON object")
     orc.add_argument("--method", choices=["closed", "mc"], default="closed")
     orc.add_argument("--mc-size", type=int, default=1_000_000)
     orc.add_argument("--seed", type=int, default=None)
+    orc.set_defaults(handler=cmd_oracle)
 
-    asy = sub.add_parser("asymptotics", help="limit-covariance bundle from a CSV file")
-    asy.add_argument("input", help="numeric CSV (header auto-detected)")
-    asy.add_argument(
-        "--location", choices=["mean", "median", "fixed"], default="mean"
+    file_command(
+        "asymptotics", "limit-covariance bundle from a CSV file", cmd_asymptotics, "mean"
     )
-    asy.add_argument("--fixed", help='fixed location as "c1,c2,..."')
-    asy.add_argument("--out", help="output path (default: stdout)")
 
     for name, help_text in [
         ("table", "spherical-error table experiment"),
@@ -387,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--workers", type=int, default=1)
         exp.add_argument("--fast", action="store_true", help="1/10 replications")
         exp.add_argument("--out", default=".", help="output directory")
-        exp.set_defaults(statistic=name)
+        exp.set_defaults(statistic=name, handler=cmd_experiment)
 
     return parser
 
@@ -395,16 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "estimate": cmd_estimate,
-        "oracle": cmd_oracle,
-        "asymptotics": cmd_asymptotics,
-        "table": cmd_experiment,
-        "qq": cmd_experiment,
-        "sweep": cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UnsupportedCombinationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNSUPPORTED

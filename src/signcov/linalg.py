@@ -1,5 +1,5 @@
 """Dense linear-algebra kernel: spatial signs, vec, Kronecker products,
-Frobenius distances.
+Frobenius distances, and the JSON form of a matrix.
 
 Everything operates on plain numpy arrays. The vectorization convention is
 column-major (Fortran order) throughout the package: entry (i, j) of a p x p
@@ -96,6 +96,14 @@ def frobenius_sq_distance(A, B) -> float:
         raise InvalidInputError(f"shape mismatch: {A.shape} vs {B.shape}")
     d = A - B
     return float(np.sum(d * d))
+
+
+def matrix_json(M) -> dict | None:
+    """{"dims": [rows, cols], "data": [row-major values]}; None stays None."""
+    if M is None:
+        return None
+    M = np.asarray(M, dtype=float)
+    return {"dims": list(M.shape), "data": M.ravel(order="C").tolist()}
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:

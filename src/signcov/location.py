@@ -1,5 +1,5 @@
 """Location estimators feeding the plug-in SSCM: sample mean and the
-spatial median.
+spatial median, plus a given fixed location; ``locate`` dispatches by name.
 
 The spatial median minimizes sum_i |X_i - mu|. It is computed by a damped
 Weiszfeld iteration with explicit handling of data points: a point y with
@@ -11,9 +11,9 @@ reweighting never reaches exactly) snap onto it once the test passes.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
 
-A result's objective and degenerate_geometry are computed on first read,
-from the sample the call received: the Monte Carlo harness reads neither,
-and the geometry test costs an SVD of the whole sample.
+A result's anchored flag, objective and degenerate_geometry are computed
+on first read, from the sample the call received: the Monte Carlo harness
+reads none of them, and the geometry test costs an SVD of the whole sample.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import InvalidInputError
 from .linalg import require_finite, row_norms
 
 INITIALIZATIONS = ("componentwise_median", "mean")
+LOCATION_METHODS = ("mean", "median", "fixed")
 
 # Second-singular-value ratio below which the sample is flagged as
 # (numerically) concentrated on a line, where the minimizer may be non-unique.
@@ -65,9 +66,11 @@ class LocationResult:
     anchored means the estimate coincides (exact float equality) with a data
     point. sample holds the observations the estimate was computed from.
 
-    objective (the summed distance from the sample to the estimate) and
-    degenerate_geometry are computed on first read from sample and cached;
-    a sample modified in place before that read changes them.
+    anchored, objective (the summed distance from the sample to the
+    estimate) and degenerate_geometry are computed on first read from
+    sample and cached; a sample modified in place before that read changes
+    them. anchored is exact: a radius is 0 only on exact coordinate
+    equality, and a snap onto a data point copies that row.
     degenerate_geometry is an advisory flag of the spatial median: the
     sample is numerically concentrated on a line, so the minimizer may be
     non-unique; the returned point is whatever the iteration converged to.
@@ -78,9 +81,12 @@ class LocationResult:
     method: str
     iterations: int
     converged: bool
-    anchored: bool
     sample: np.ndarray = field(repr=False, compare=False)
     objective_history: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def anchored(self) -> bool:
+        return bool(np.any(np.all(self.sample == self.estimate, axis=1)))
 
     @cached_property
     def objective(self) -> float:
@@ -102,15 +108,22 @@ def _as_sample(X) -> np.ndarray:
     return X
 
 
+def _sample_at(X, t) -> tuple[np.ndarray, np.ndarray]:
+    """The checked sample and a finite location t of matching length."""
+    X = _as_sample(X)
+    t = require_finite(t, "location")
+    if t.ndim != 1 or t.shape[0] != X.shape[1]:
+        raise InvalidInputError(
+            f"location has length {t.shape}, expected ({X.shape[1]},)"
+        )
+    return X, t
+
+
 def l1_objective(X, mu) -> float:
     """Sum of Euclidean distances from the observations to mu."""
     X = _as_sample(X)
     mu = require_finite(mu, "mu")
     return float(np.sum(row_norms(X - mu)))
-
-
-def _coincident_mask(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.all(X == y, axis=1)
 
 
 def _degenerate_geometry(X: np.ndarray) -> bool:
@@ -138,13 +151,11 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
 def sample_mean(X) -> LocationResult:
     """Componentwise average of the observations."""
     X = _as_sample(X)
-    est = X.mean(axis=0)
     return LocationResult(
-        estimate=est,
+        estimate=X.mean(axis=0),
         method="mean",
         iterations=0,
         converged=True,
-        anchored=bool(np.any(_coincident_mask(X, est))),
         sample=X,
     )
 
@@ -206,7 +217,6 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     stall_floor = 1e-3 * threshold
     stalled_steps = 0
     converged = False
-    anchored_optimal = False
     iterations = 0
     small_step = True  # allows certified convergence at the initial point
     for _ in range(opts.max_iterations):
@@ -222,7 +232,6 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
                 if _anchored_optimal_at(X, X[nearest]):
                     y = X[nearest].copy()
                     converged = True
-                    anchored_optimal = True
                     break
                 tested_radius[nearest] = rmin
             w = 1.0 / r
@@ -239,7 +248,6 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
             if norm_res <= eta:
                 # y sits on a data point and passes the optimality test
                 converged = True
-                anchored_optimal = True
                 break
             shrink = 1.0 - eta / norm_res
         else:
@@ -263,14 +271,31 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
         if stalled_steps >= 2:
             break
 
-    anchored = anchored_optimal or bool(np.any(_coincident_mask(X, y)))
-
     return LocationResult(
         estimate=y,
         method="spatial_median",
         iterations=iterations,
         converged=converged,
-        anchored=anchored,
         sample=X,
         objective_history=None if history is None else np.asarray(history),
+    )
+
+
+def locate(
+    X, method: str, opts: MedianOptions | None = None, t=None
+) -> LocationResult:
+    """Location of the sample by method: "mean", "median" (the spatial
+    median under opts) or "fixed" (the given location t, which only this
+    method reads)."""
+    if method == "median":
+        return spatial_median(X, opts)
+    if method == "mean":
+        return sample_mean(X)
+    if method != "fixed":
+        raise InvalidInputError(f"unknown location method {method!r}")
+    if t is None:
+        raise InvalidInputError('method "fixed" requires a location t')
+    X, t = _sample_at(X, t)
+    return LocationResult(
+        estimate=t, method="fixed", iterations=0, converged=True, sample=X
     )

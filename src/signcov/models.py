@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, from_json_object
 from .linalg import require_finite, row_norms, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
@@ -116,16 +116,13 @@ class EllipticalModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EllipticalModel":
-        try:
-            return cls(
-                generator=d["generator"],
-                mu=np.asarray(d["mu"], dtype=float),
-                V=np.asarray(d["V"], dtype=float),
-                nu=d.get("nu"),
-                gamma=d.get("gamma"),
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"model JSON missing key {exc}") from None
+        return from_json_object(d, "model JSON", lambda d: cls(
+            generator=d["generator"],
+            mu=np.asarray(d["mu"], dtype=float),
+            V=np.asarray(d["V"], dtype=float),
+            nu=d.get("nu"),
+            gamma=d.get("gamma"),
+        ))
 
     @classmethod
     def from_json(cls, text: str) -> "EllipticalModel":
@@ -133,8 +130,6 @@ class EllipticalModel:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"invalid model JSON: {exc}") from None
-        if not isinstance(d, dict):
-            raise InvalidInputError("model JSON must be an object")
         return cls.from_json_dict(d)
 
 

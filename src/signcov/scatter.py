@@ -18,7 +18,7 @@ exact floating-point equality of all coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .location import (
     LocationResult,
     MedianOptions,
     _as_sample,
-    sample_mean,
-    spatial_median,
+    _sample_at,
+    locate,
+    spatial_median,  # noqa: F401 - bound for bench/ tracer tests
 )
 
 # Above this many pair-coordinates the symmetrized estimator accumulates in
@@ -65,18 +66,9 @@ def coincidence_report(X, t) -> CoincidenceReport:
     )
 
 
-def _check_dims(X: np.ndarray, t: np.ndarray):
-    if t.ndim != 1 or t.shape[0] != X.shape[1]:
-        raise InvalidInputError(
-            f"location has length {t.shape}, expected ({X.shape[1]},)"
-        )
-
-
 def sscm_fixed(X, t) -> ScatterMatrix:
     """SSCM about a fixed location: mean of s(X_i - t) s(X_i - t)^T."""
-    X = _as_sample(X)
-    t = require_finite(t, "location")
-    _check_dims(X, t)
+    X, t = _sample_at(X, t)
     U = spatial_signs(X - t)
     S = symmetrize(U.T @ U) / X.shape[0]
     return ScatterMatrix(S, "fixed_location", X.shape[0], location_used=t.copy())
@@ -85,9 +77,7 @@ def sscm_fixed(X, t) -> ScatterMatrix:
 def sscm_star(X, t) -> ScatterMatrix:
     """Trace-1 SSCM: sign outer products averaged over the n* observations
     that do not coincide with the location."""
-    X = _as_sample(X)
-    t = require_finite(t, "location")
-    _check_dims(X, t)
+    X, t = _sample_at(X, t)
     report = coincidence_report(X, t)
     if report.n_star == 0:
         raise DegenerateSampleError("every observation coincides with the location")
@@ -102,37 +92,14 @@ def sscm_plugin(
     opts: MedianOptions | None = None,
     t=None,
 ) -> tuple[ScatterMatrix, LocationResult, CoincidenceReport]:
-    """SSCM at an estimated location.
-
-    method is one of "mean", "median", "fixed"; "fixed" requires t and is
-    provided so callers can drive all three variants through one entry point.
-    """
+    """SSCM at the location locate(X, method, opts, t) picks: "mean",
+    "median" or "fixed" (at t), so callers drive all three variants through
+    one entry point."""
     X = _as_sample(X)
     if X.shape[0] < 2:
         raise InvalidInputError("plug-in SSCM needs at least 2 observations")
-    if method == "mean":
-        loc = sample_mean(X)
-    elif method == "median":
-        loc = spatial_median(X, opts)
-    elif method == "fixed":
-        if t is None:
-            raise InvalidInputError('method "fixed" requires a location t')
-        t = require_finite(t, "location")
-        loc = LocationResult(
-            estimate=t,
-            method="fixed",
-            iterations=0,
-            converged=True,
-            anchored=bool(np.any(np.all(X == t, axis=1))),
-            sample=X,
-        )
-    else:
-        raise InvalidInputError(f"unknown location method {method!r}")
-
-    fixed = sscm_fixed(X, loc.estimate)
-    scatter = ScatterMatrix(
-        fixed.matrix, "plugin", X.shape[0], location_used=loc.estimate.copy()
-    )
+    loc = locate(X, method, opts, t)
+    scatter = replace(sscm_fixed(X, loc.estimate), variant="plugin")
     return scatter, loc, coincidence_report(X, loc.estimate)
 
 
@@ -179,9 +146,7 @@ def frobenius_error_gram(X, t) -> float:
     Never materializes the p x p estimate, so it is the cheap path when
     p >> n (cost O(n^2 p) instead of O(n p^2)).
     """
-    X = _as_sample(X)
-    t = require_finite(t, "location")
-    _check_dims(X, t)
+    X, t = _sample_at(X, t)
     n, p = X.shape
     U = spatial_signs(X - t)
     G = U @ U.T

@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import platform
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,10 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from .asymptotics import element_variance, fixed_location_cov
-from .errors import InvalidInputError
+from .errors import InvalidInputError, from_json_object
 from .linalg import spatial_signs
-from .location import MedianOptions, spatial_median
+from .location import MedianOptions, locate
+from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
     SeededStream,
@@ -50,7 +52,6 @@ from .models import (
 from .scatter import frobenius_error_gram
 
 METHODS = ("known", "mean", "median")
-STATISTICS = ("table", "qq", "sweep")
 
 # Reserved stream indices; replication streams use cell_index * R + rep,
 # which stays far below 2**48 for any realistic grid.
@@ -80,6 +81,8 @@ class ExperimentConfig:
     ref_draws: int = 1_000_000
     median_tolerance: float = 1e-10
     median_max_iterations: int = 1000
+    # built from the two fields above when the config is validated
+    median_options: MedianOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -91,6 +94,10 @@ class ExperimentConfig:
             self, "location_methods", tuple(self.location_methods)
         )
         object.__setattr__(self, "element", tuple(int(k) for k in self.element))
+        object.__setattr__(self, "median_options", MedianOptions(
+            tolerance=self.median_tolerance,
+            max_iterations=self.median_max_iterations,
+        ))
         self.validate()
 
     def validate(self):
@@ -107,6 +114,8 @@ class ExperimentConfig:
                 raise InvalidInputError(f"unknown location method {m!r}")
         if self.master_seed < 0:
             raise InvalidInputError("master_seed must be non-negative")
+        if len(self.element) != 2:
+            raise InvalidInputError("element must be a pair of indices")
         if self.statistic == "table":
             if not self.p_grid or any(p < 2 for p in self.p_grid):
                 raise InvalidInputError("table needs a p_grid of dimensions >= 2")
@@ -149,23 +158,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                statistic=d["statistic"],
-                model=EllipticalModel.from_json_dict(d["model"]),
-                n_grid=tuple(d["n_grid"]),
-                replications=int(d["replications"]),
-                master_seed=int(d["master_seed"]),
-                location_methods=tuple(d.get("methods", METHODS)),
-                p_grid=tuple(d.get("p_grid", ())),
-                gamma_grid=tuple(d.get("gamma_grid", ())),
-                element=tuple(d.get("element", (0, 1))),
-                ref_draws=int(d.get("ref_draws", 1_000_000)),
-                median_tolerance=float(d.get("median_tolerance", 1e-10)),
-                median_max_iterations=int(d.get("median_max_iterations", 1000)),
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"config missing key {exc}") from None
+        return from_json_object(d, "config", lambda d: cls(
+            statistic=d["statistic"],
+            model=EllipticalModel.from_json_dict(d["model"]),
+            n_grid=tuple(d["n_grid"]),
+            replications=int(d["replications"]),
+            master_seed=int(d["master_seed"]),
+            location_methods=tuple(d.get("methods", METHODS)),
+            p_grid=tuple(d.get("p_grid", ())),
+            gamma_grid=tuple(d.get("gamma_grid", ())),
+            element=tuple(d.get("element", (0, 1))),
+            ref_draws=int(d.get("ref_draws", 1_000_000)),
+            median_tolerance=float(d.get("median_tolerance", 1e-10)),
+            median_max_iterations=int(d.get("median_max_iterations", 1000)),
+        ))
 
     def digest(self) -> str:
         text = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -229,14 +235,6 @@ def ks_statistic(sample_values, sigma2: float) -> float:
 # replication engine
 # ---------------------------------------------------------------------------
 
-def _locate(X, method, model, opts):
-    if method == "known":
-        return model.mu
-    if method == "mean":
-        return X.mean(axis=0)
-    return spatial_median(X, opts).estimate
-
-
 def _spherical_error(X, t) -> float:
     """||SSCM(t) - (1/p) I||^2, routed through the Gram identity when p > n."""
     n, p = X.shape
@@ -250,25 +248,14 @@ def _spherical_error(X, t) -> float:
 
 def _rep_values(config, payload, stream) -> np.ndarray:
     model = payload["model"]
-    n = payload["n"]
-    X = sample(model, n, stream)
-    opts = MedianOptions(
-        tolerance=config.median_tolerance,
-        max_iterations=config.median_max_iterations,
-    )
+    X = sample(model, payload["n"], stream)
+    value = STATISTICS[config.statistic].value
     out = np.empty(len(config.location_methods))
     for k, method in enumerate(config.location_methods):
-        t = _locate(X, method, model, opts)
-        if config.statistic == "table":
-            out[k] = n * _spherical_error(X, t)
-        elif config.statistic == "qq":
-            i, j = config.element
-            U = spatial_signs(X - t)
-            s_ij = float(U[:, i] @ U[:, j]) / n
-            out[k] = math.sqrt(n) * (s_ij - payload["target"])
-        else:  # sweep: population off-diagonal is 0 since V = I
-            U = spatial_signs(X - t)
-            out[k] = abs(float(U[:, 0] @ U[:, 1])) / n
+        # "known" is the fixed location at the model's center
+        method = "fixed" if method == "known" else method
+        t = locate(X, method, config.median_options, model.mu).estimate
+        out[k] = value(config, payload, X, t)
     return out
 
 
@@ -282,120 +269,79 @@ def _run_task(task) -> np.ndarray:
     return out
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidInputError("workers must be at least 1")
-
-
 def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     """Replication values for every cell, shape (R, n_methods) each,
     assembled in replication order regardless of worker count.
 
     The pool never exceeds the task count or the machine's CPU count."""
-    _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
     R = config.replications
     chunk = max(1, math.ceil(R / (workers * 4)))
-    tasks = []
-    for cell_index, payload in enumerate(payloads):
-        lo = 0
-        while lo < R:
-            hi = min(R, lo + chunk)
-            tasks.append((config, payload, cell_index, lo, hi))
-            lo = hi
+    starts = range(0, R, chunk)
+    tasks = [
+        (config, payload, cell_index, lo, min(R, lo + chunk))
+        for cell_index, payload in enumerate(payloads)
+        for lo in starts
+    ]
     workers = min(workers, len(tasks))
     if workers <= 1:
         chunks = [_run_task(t) for t in tasks]
     else:
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_run_task, tasks)
-    cells = []
-    pos = 0
-    for _ in payloads:
-        parts = []
-        total = 0
-        while total < R:
-            parts.append(chunks[pos])
-            total += chunks[pos].shape[0]
-            pos += 1
-        cells.append(np.vstack(parts))
-    return cells
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    if values.size > 1:
-        se = float(values.std(ddof=1) / math.sqrt(values.size))
-    else:
-        se = 0.0
-    return mean, se
+    per = len(starts)
+    return [np.vstack(chunks[k * per:(k + 1) * per]) for k in range(len(payloads))]
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiment families and the runner
 # ---------------------------------------------------------------------------
 
-def _spherical_cell_model(config, p: int) -> EllipticalModel:
-    template = config.model
-    if template.generator == "gaussian":
-        return EllipticalModel("gaussian", np.zeros(p), np.eye(p))
-    if template.generator == "student_t":
-        return EllipticalModel(
-            "student_t", np.zeros(p), np.eye(p), nu=template.nu
-        )
-    return singularity_model(template.gamma, p)
+def _sign_product(X, t, i: int, j: int) -> float:
+    """n times element (i, j) of the SSCM about t."""
+    U = spatial_signs(X - t)
+    return float(U[:, i] @ U[:, j])
 
 
-def run_table_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Average of n * ||SSCM - (1/p) I||^2 per (p, n, method) cell."""
-    if config.statistic != "table":
-        raise InvalidInputError("config.statistic must be 'table'")
-    start = time.perf_counter()
-    specs = [(p, n) for p in config.p_grid for n in config.n_grid]
-    payloads = [
-        {"model": _spherical_cell_model(config, p), "n": n} for p, n in specs
-    ]
-    values = _collect_cells(config, payloads, workers)
-    cells = []
-    for (p, n), vals in zip(specs, values):
-        for k, method in enumerate(config.location_methods):
-            mean, se = _mean_se(vals[:, k])
-            cells.append(CellResult(p, n, method, mean, se, config.replications))
-    return ExperimentResult(
-        statistic="table",
-        cells=cells,
-        master_seed=config.master_seed,
-        config=config,
-        config_digest=config.digest(),
-        wall_time=time.perf_counter() - start,
+def _mean_cell(config, key, method, values, reference) -> CellResult:
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return CellResult(
+        method=method, mean=float(values.mean()), se=se,
+        replications=config.replications, **key,
     )
 
 
-def run_qq_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Replication values of sqrt(n) * (SSCM[i,j] - S[i,j]) per (n, method),
-    paired with N(0, sigma^2) reference quantiles.
+def _qq_cell(config, key, method, values, reference) -> QQCellResult:
+    sigma2, quantiles = reference
+    sorted_vals = np.sort(values)
+    return QQCellResult(
+        method=method,
+        sigma2=sigma2,
+        ks=ks_statistic(sorted_vals, sigma2),
+        values=sorted_vals,
+        reference=quantiles,
+        **key,
+    )
+
+
+def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
+    """The qq run's metadata extras, and (sigma^2, the N(0, sigma^2)
+    quantiles paired with the sorted replication values).
 
     sigma^2 is the (i, j) limit variance taken from an MC estimate of the
     fixed-location limit covariance at ref_draws draws; the population S
     comes from the bivariate closed form when p = 2 and from a Monte Carlo
     oracle otherwise.
     """
-    if config.statistic != "qq":
-        raise InvalidInputError("config.statistic must be 'qq'")
-    _check_workers(workers)  # before the costly reference quantities
-    start = time.perf_counter()
     model = config.model
     i, j = config.element
-
     if model.p == 2:
-        S_pop = population_sscm_closed_p2(model.V).matrix
-        pop_source = "closed_p2"
+        S_pop, pop_source = population_sscm_closed_p2(model.V), "closed_p2"
     else:
-        S_est, _ = population_sscm_mc(
+        S_pop, _ = population_sscm_mc(
             model, config.ref_draws,
             SeededStream(config.master_seed, _REF_POPULATION_STREAM),
         )
-        S_pop = S_est.matrix
         pop_source = f"mc({config.ref_draws})"
 
     X_ref = sample(
@@ -405,83 +351,134 @@ def run_qq_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentR
     W = fixed_location_cov(X_ref, model.mu)
     sigma2 = element_variance(W, i, j)
 
-    payloads = [
-        {"model": model, "n": n, "target": float(S_pop[i, j])}
-        for n in config.n_grid
-    ]
-    values = _collect_cells(config, payloads, workers)
-
     R = config.replications
     probs = (np.arange(1, R + 1) - 0.5) / R
-    reference = norm.ppf(probs) * math.sqrt(sigma2)
+    extras = {
+        "sigma2": sigma2,
+        "population_element": float(S_pop.matrix[i, j]),
+        "population_source": pop_source,
+        "ref_draws": config.ref_draws,
+    }
+    return extras, (sigma2, norm.ppf(probs) * math.sqrt(sigma2))
 
-    cells = []
-    for n, vals in zip(config.n_grid, values):
-        for k, method in enumerate(config.location_methods):
-            sorted_vals = np.sort(vals[:, k])
-            cells.append(
-                QQCellResult(
-                    n=n,
-                    method=method,
-                    sigma2=sigma2,
-                    ks=ks_statistic(sorted_vals, sigma2),
-                    values=sorted_vals,
-                    reference=reference,
-                )
-            )
+
+@dataclass(frozen=True)
+class _Statistic:
+    """One experiment family: its cells as (grid coordinates, model) pairs,
+    the value one replication records at a location t, the reduction of a
+    cell's values for one method, and the layout of each artifact: CSV
+    header and rows, summary header, and the result attributes (columns)
+    that the metadata cells and the summary lines show."""
+
+    grid: Callable
+    value: Callable
+    reduce: Callable
+    csv_header: tuple
+    csv_rows: Callable
+    summary_header: str
+    columns: tuple
+
+
+STATISTICS = {
+    "table": _Statistic(
+        grid=lambda c: [
+            ({"p": p, "n": n}, EllipticalModel(
+                c.model.generator, np.zeros(p), np.eye(p),
+                nu=c.model.nu, gamma=c.model.gamma,
+            ))
+            for p in c.p_grid for n in c.n_grid
+        ],
+        value=lambda c, payload, X, t: payload["n"] * _spherical_error(X, t),
+        reduce=_mean_cell,
+        csv_header=("p", "n", "method", "mean", "se", "replications"),
+        csv_rows=lambda c: [
+            [c.p, c.n, c.method, _fmt(c.mean), _fmt(c.se), c.replications]
+        ],
+        summary_header="p n method mean se",
+        columns=("p", "gamma", "n", "method", "mean", "se"),
+    ),
+    "qq": _Statistic(
+        grid=lambda c: [({"n": n}, c.model) for n in c.n_grid],
+        value=lambda c, payload, X, t: math.sqrt(payload["n"]) * (
+            _sign_product(X, t, *c.element) / payload["n"] - payload["target"]
+        ),
+        reduce=_qq_cell,
+        csv_header=("n", "method", "rank", "empirical", "reference"),
+        csv_rows=lambda c: [
+            [c.n, c.method, rank, _fmt(emp), _fmt(ref)]
+            for rank, (emp, ref) in enumerate(zip(c.values, c.reference), 1)
+        ],
+        summary_header="n method sigma2 ks",
+        columns=("n", "method", "sigma2", "ks"),
+    ),
+    "sweep": _Statistic(
+        grid=lambda c: [
+            ({"p": p, "gamma": g, "n": n}, singularity_model(g, p))
+            for p in c.p_grid for g in c.gamma_grid for n in c.n_grid
+        ],
+        # the population off-diagonal is 0 since V = I
+        value=lambda c, payload, X, t: abs(_sign_product(X, t, 0, 1)) / payload["n"],
+        reduce=_mean_cell,
+        csv_header=("p", "gamma", "n", "method", "mean_abs_error", "se",
+                    "replications"),
+        csv_rows=lambda c: [[c.p, _fmt(c.gamma), c.n, c.method,
+                             _fmt(c.mean), _fmt(c.se), c.replications]],
+        summary_header="p gamma n method mean_abs_error se",
+        columns=("p", "gamma", "n", "method", "mean", "se"),
+    ),
+}
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Run every replication of every cell, then reduce each cell per
+    location method, in replication order for any worker count."""
+    if workers < 1:  # checked before the costly reference quantities
+        raise InvalidInputError("workers must be at least 1")
+    start = time.perf_counter()
+    stat = STATISTICS[config.statistic]
+    extras, reference = _qq_reference(config) if config.statistic == "qq" else ({}, None)
+    grid = stat.grid(config)
+    payloads = [
+        {"model": model, "n": key["n"], "target": extras.get("population_element")}
+        for key, model in grid
+    ]
+    values = _collect_cells(config, payloads, workers)
+    cells = [
+        stat.reduce(config, key, method, vals[:, k], reference)
+        for (key, _), vals in zip(grid, values)
+        for k, method in enumerate(config.location_methods)
+    ]
     return ExperimentResult(
-        statistic="qq",
+        statistic=config.statistic,
         cells=cells,
         master_seed=config.master_seed,
         config=config,
         config_digest=config.digest(),
         wall_time=time.perf_counter() - start,
-        extras={
-            "sigma2": sigma2,
-            "population_element": float(S_pop[i, j]),
-            "population_source": pop_source,
-            "ref_draws": config.ref_draws,
-        },
+        extras=extras,
     )
+
+
+def _expect(config: ExperimentConfig, statistic: str) -> ExperimentConfig:
+    if config.statistic != statistic:
+        raise InvalidInputError(f"config.statistic must be {statistic!r}")
+    return config
+
+
+def run_table_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Average of n * ||SSCM - (1/p) I||^2 per (p, n, method) cell."""
+    return run_experiment(_expect(config, "table"), workers)
+
+
+def run_qq_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Replication values of sqrt(n) * (SSCM[i,j] - S[i,j]) per (n, method),
+    paired with N(0, sigma^2) reference quantiles (see _qq_reference)."""
+    return run_experiment(_expect(config, "qq"), workers)
 
 
 def run_gamma_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Mean absolute error of the (1, 2) element per (p, gamma, n, method)."""
-    if config.statistic != "sweep":
-        raise InvalidInputError("config.statistic must be 'sweep'")
-    start = time.perf_counter()
-    specs = [
-        (p, g, n)
-        for p in config.p_grid
-        for g in config.gamma_grid
-        for n in config.n_grid
-    ]
-    payloads = [{"model": singularity_model(g, p), "n": n} for p, g, n in specs]
-    values = _collect_cells(config, payloads, workers)
-    cells = []
-    for (p, g, n), vals in zip(specs, values):
-        for k, method in enumerate(config.location_methods):
-            mean, se = _mean_se(vals[:, k])
-            cells.append(
-                CellResult(p, n, method, mean, se, config.replications, gamma=g)
-            )
-    return ExperimentResult(
-        statistic="sweep",
-        cells=cells,
-        master_seed=config.master_seed,
-        config=config,
-        config_digest=config.digest(),
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    runner = {
-        "table": run_table_experiment,
-        "qq": run_qq_experiment,
-        "sweep": run_gamma_sweep,
-    }[config.statistic]
-    return runner(config, workers=workers)
+    return run_experiment(_expect(config, "sweep"), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +491,12 @@ def _fmt(x: float) -> str:
 
 def write_result_csv(result: ExperimentResult, path) -> None:
     """One CSV row per cell (table/sweep) or per quantile pair (qq)."""
+    stat = STATISTICS[result.statistic]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if result.statistic == "table":
-            writer.writerow(["p", "n", "method", "mean", "se", "replications"])
-            for c in result.cells:
-                writer.writerow(
-                    [c.p, c.n, c.method, _fmt(c.mean), _fmt(c.se), c.replications]
-                )
-        elif result.statistic == "sweep":
-            writer.writerow(
-                ["p", "gamma", "n", "method", "mean_abs_error", "se", "replications"]
-            )
-            for c in result.cells:
-                writer.writerow(
-                    [c.p, _fmt(c.gamma), c.n, c.method,
-                     _fmt(c.mean), _fmt(c.se), c.replications]
-                )
-        else:  # qq
-            writer.writerow(["n", "method", "rank", "empirical", "reference"])
-            for c in result.cells:
-                for rank, (emp, ref) in enumerate(zip(c.values, c.reference), 1):
-                    writer.writerow([c.n, c.method, rank, _fmt(emp), _fmt(ref)])
+        writer.writerow(stat.csv_header)
+        for c in result.cells:
+            writer.writerows(stat.csv_rows(c))
 
 
 def write_metadata_json(result: ExperimentResult, path) -> None:
@@ -534,24 +515,11 @@ def write_metadata_json(result: ExperimentResult, path) -> None:
         },
         "wall_time": result.wall_time,
         "extras": result.extras,
+        "cells": [
+            {a: getattr(c, a) for a in STATISTICS[result.statistic].columns}
+            for c in result.cells
+        ],
     }
-    if result.statistic == "qq":
-        meta["cells"] = [
-            {"n": c.n, "method": c.method, "sigma2": c.sigma2, "ks": c.ks}
-            for c in result.cells
-        ]
-    else:
-        meta["cells"] = [
-            {
-                "p": c.p,
-                "gamma": c.gamma,
-                "n": c.n,
-                "method": c.method,
-                "mean": c.mean,
-                "se": c.se,
-            }
-            for c in result.cells
-        ]
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

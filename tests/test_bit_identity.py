@@ -1,11 +1,13 @@
 """Bit-identity guards for the spatial median and the experiment artifacts.
 
-Every digest below was recorded from the straightforward Weiszfeld loop that
-predates the solver's per-call overhead cut, and the lean solver must
-reproduce each one exactly: the estimate's bytes, the iteration count, the
-converged / anchored flags, the objective and the degenerate-geometry flag
-of every corpus sample, and the bytes of small ``table``, ``sweep`` and
-``qq`` CSVs and of the CLI ``estimate`` JSON.
+Every digest below was recorded from the code that predates the change it
+guards, and the code on the path must reproduce each one exactly: the
+estimate's bytes, the iteration count, the converged / anchored flags, the
+objective and the degenerate-geometry flag of every corpus sample, the
+bytes of small ``table``, ``sweep`` and ``qq`` CSVs, their metadata JSON
+(without the wall time) and CLI summary lines, the CLI ``estimate`` JSON
+and CSV, the ``asymptotics`` JSON at every location and the ``oracle``
+output.
 
 The digests hold for the numpy / BLAS build they were recorded with (numpy
 2.4, OpenBLAS 0.3, x86-64); another BLAS may round ``w @ diffs``
@@ -14,8 +16,11 @@ on the path, which is how they are re-recorded (on the previous commit,
 same machine) after such an upgrade.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import struct
 
 import numpy as np
@@ -195,7 +200,7 @@ ESTIMATE_ARGS = {
 }
 
 
-def estimate_digest(workdir, location) -> str:
+def _data_csv(workdir) -> str:
     rng = np.random.default_rng(1307)
     X = np.round(rng.standard_normal((25, 3)), 3)
     X[7] = X[3]
@@ -203,10 +208,18 @@ def estimate_digest(workdir, location) -> str:
     csv_path.write_text(
         "\n".join(",".join(repr(float(v)) for v in row) for row in X) + "\n"
     )
-    out = workdir / f"{location}.json"
-    assert main(["estimate", str(csv_path), "--out", str(out),
-                 *ESTIMATE_ARGS[location]]) == 0
+    return str(csv_path)
+
+
+def _file_digest(workdir, argv) -> str:
+    """Digest of the file a file-input CLI command writes to --out."""
+    out = workdir / "out.txt"
+    assert main([argv[0], _data_csv(workdir), "--out", str(out), *argv[1:]]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def estimate_digest(workdir, location) -> str:
+    return _file_digest(workdir, ["estimate", *ESTIMATE_ARGS[location]])
 
 
 ESTIMATE_DIGESTS = {
@@ -222,6 +235,115 @@ ESTIMATE_DIGESTS = {
 @pytest.mark.parametrize("location", sorted(ESTIMATE_ARGS))
 def test_cli_estimate_json_bits_pinned(tmp_path, location):
     assert estimate_digest(tmp_path, location) == ESTIMATE_DIGESTS[location]
+
+
+# CLI commands on the fixture CSV whose --out file is pinned
+FILE_ARGS = {
+    "asymptotics_mean": ["asymptotics", "--location", "mean"],
+    "asymptotics_median": ["asymptotics", "--location", "median"],
+    "asymptotics_fixed": ["asymptotics", "--location", "fixed",
+                          "--fixed", "0.25,-0.5,0"],
+    "estimate_star_symmetrized_asymptotics": [
+        "estimate", "--star", "--symmetrized", "--asymptotics"],
+    "estimate_symmetrized_csv": ["estimate", "--symmetrized", "--output", "csv"],
+}
+
+FILE_DIGESTS = {
+    "asymptotics_fixed":
+        "c9061eb1cf56dc1867ded9115c6204ebffa4f3bfc1709b8fa95575191aa33182",
+    "asymptotics_mean":
+        "68b42cc624a7bb150538be32ddb6e6613a75b2866342e7cb5dedd2e9b47088dd",
+    "asymptotics_median":
+        "03071e250822cb7ee5f152a6084b3bdb9791436dac32a729c6b06e9e5e8ee61e",
+    "estimate_star_symmetrized_asymptotics":
+        "46730dbab5b3b61bfa9e8eaba38bbe5e6dad7f01bea708ccfbfce41c865f8267",
+    "estimate_symmetrized_csv":
+        "55d9e373070caa688225b107329fa15e2c89cc219554f44afd788b856603195d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_ARGS))
+def test_cli_file_outputs_bits_pinned(tmp_path, name):
+    assert _file_digest(tmp_path, FILE_ARGS[name]) == FILE_DIGESTS[name]
+
+
+ORACLE_ARGS = {
+    "closed_p2": ["--model", json.dumps(
+        {"generator": "gaussian", "mu": [0.0, 0.0], "V": [[1.0, 0.5], [0.5, 1.0]]}
+    )],
+    "mc_p3": ["--model", json.dumps(
+        {"generator": "student_t", "nu": 4.0, "mu": [1.0, 0.0, -1.0],
+         "V": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]}
+    ), "--method", "mc", "--mc-size", "2000", "--seed", "11"],
+}
+
+
+def _stdout_of(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+def oracle_digest(name) -> str:
+    text = _stdout_of(["oracle", *ORACLE_ARGS[name]])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+ORACLE_DIGESTS = {
+    "closed_p2":
+        "6cb44ef5f25bab66a12fcd7bdaf2a0ef83582446c6c1a5031422573460b58638",
+    "mc_p3":
+        "01e00be4bad10843ce0d6b54392b5c67cba0e300f23bfc130a990da5bb219a6b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ARGS))
+def test_cli_oracle_stdout_bits_pinned(name):
+    assert oracle_digest(name) == ORACLE_DIGESTS[name]
+
+
+def experiment_cli_digests(workdir, statistic) -> tuple[str, str]:
+    """Digests of the metadata JSON without its wall-time line, and of the
+    summary lines without the artifacts line, of one CLI experiment run."""
+    config = experiment_configs()[statistic]
+    cfg_path = workdir / f"{statistic}.json"
+    cfg_path.write_text(json.dumps(config.to_json_dict()))
+    out = _stdout_of([statistic, "--config", str(cfg_path),
+                      "--seed", str(config.master_seed), "--out", str(workdir)])
+    meta, count = re.subn(
+        rb'\n  "wall_time": [^\n]*', b"",
+        (workdir / f"{statistic}_metadata.json").read_bytes(),
+    )
+    assert count == 1
+    summary = "".join(line for line in out.splitlines(keepends=True)
+                      if not line.startswith("artifacts: "))
+    return (hashlib.sha256(meta).hexdigest(),
+            hashlib.sha256(summary.encode()).hexdigest())
+
+
+# (metadata, summary) per statistic
+EXPERIMENT_CLI_DIGESTS = {
+    "qq": (
+        "5285cb9c8fbd9da2b53eade9417f87b416d966cb9773a0c0d13c71d9b15b8897",
+        "939c7d9836cfd05aaa2cfcad50676843ca58e8430899fcda8110b1c7281a6637",
+    ),
+    "sweep": (
+        "15412deb2141d40445fcd916a53d06fc54738b61fa55861e1f9901c01860c811",
+        "5a19174467130ce5d20e45e01b2fa42378915c1048fc1614de2572253dfc3aaf",
+    ),
+    "table": (
+        "0b1c27a84d82d54dfba3b6a1711b53c7ac82416f8686bb15e06e4e6ba6e5bfd6",
+        "a862b18969d3b38912c72c2bbfa44cb153956cecf3eb2659f7cb0142f0ff0048",
+    ),
+}
+
+
+@pytest.mark.parametrize("statistic", ["table", "sweep", "qq"])
+def test_cli_experiment_metadata_and_summary_bits_pinned(tmp_path, statistic):
+    meta, summary = experiment_cli_digests(tmp_path, statistic)
+    assert meta == EXPERIMENT_CLI_DIGESTS[statistic][0]
+    assert summary == EXPERIMENT_CLI_DIGESTS[statistic][1]
 
 
 if __name__ == "__main__":
@@ -240,5 +362,16 @@ if __name__ == "__main__":
         ))
         print(json.dumps(
             {loc: estimate_digest(tmp, loc) for loc in sorted(ESTIMATE_ARGS)},
+            indent=4,
+        ))
+        print(json.dumps(
+            {name: _file_digest(tmp, FILE_ARGS[name]) for name in sorted(FILE_ARGS)},
+            indent=4,
+        ))
+        print(json.dumps(
+            {name: oracle_digest(name) for name in sorted(ORACLE_ARGS)}, indent=4
+        ))
+        print(json.dumps(
+            {s: experiment_cli_digests(tmp, s) for s in sorted(experiment_configs())},
             indent=4,
         ))

@@ -179,6 +179,39 @@ def test_oracle_invalid_model_json(capsys):
     assert "JSON" in err
 
 
+SPHERICAL2 = {"generator": "gaussian", "mu": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]}
+TABLE_CFG = {"statistic": "table", "model": SPHERICAL2, "p_grid": [2], "n_grid": [5],
+             "replications": 2, "master_seed": 1}
+QQ_CFG = {"statistic": "qq", "model": SPHERICAL2, "n_grid": [5], "replications": 2,
+          "master_seed": 1, "ref_draws": 1000}
+# (subcommand, config or model JSON) that used to end in a traceback
+MALFORMED_INPUT = {
+    "config_top_level_list": ("table", [TABLE_CFG]),
+    "config_replications_text": ("table", {**TABLE_CFG, "replications": "abc"}),
+    "config_n_grid_scalar": ("table", {**TABLE_CFG, "n_grid": 5}),
+    "config_element_three_qq": ("qq", {**QQ_CFG, "element": [0, 1, 1]}),
+    "config_element_three_table": ("table", {**TABLE_CFG, "element": [0, 1, 1]}),
+    "config_model_not_object": ("table", {**TABLE_CFG, "model": [1.0]}),
+    "config_nu_text": ("table", {**TABLE_CFG, "model": {
+        **SPHERICAL2, "generator": "student_t", "nu": "x"}}),
+    "model_nu_text": ("oracle", {**SPHERICAL2, "generator": "student_t", "nu": "x"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
+def test_malformed_json_input_exits_2(tmp_path, capsys, name):
+    command, body = MALFORMED_INPUT[name]
+    if command == "oracle":
+        argv = ["oracle", "--model", json.dumps(body)]
+    else:
+        cfg_path = write(tmp_path, "cfg.json", json.dumps(body))
+        argv = [command, "--config", cfg_path, "--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_asymptotics_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(72)
     X = rng.standard_normal((40, 2))

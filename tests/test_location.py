@@ -5,9 +5,11 @@ from signcov import (
     InvalidInputError,
     MedianOptions,
     l1_objective,
+    locate,
     sample_mean,
     spatial_median,
     spatial_signs,
+    sscm_plugin,
 )
 from _oracles import brute_force_spatial_median, random_orthogonal
 
@@ -36,6 +38,56 @@ def test_sample_mean_shift_equivariance():
 def test_sample_mean_empty_errors():
     with pytest.raises(InvalidInputError):
         sample_mean(np.empty((0, 2)))
+
+
+# (sample, fixed location): anchored and free estimates for every method
+LOCATE_CASES = {
+    "heavy_point": (np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]]), np.array([5.0, 5.0])),
+    "right_triangle": (RIGHT_TRIANGLE, np.array([0.5, 0.5])),
+    "mean_on_point": (np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]), np.zeros(2)),
+    "gaussian": (np.random.default_rng(11).standard_normal((30, 4)), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("method", ["mean", "median", "fixed"])
+@pytest.mark.parametrize("case", sorted(LOCATE_CASES))
+def test_locate_matches_each_estimator_bit_for_bit(case, method):
+    X, t = LOCATE_CASES[case]
+    opts = MedianOptions(tolerance=1e-12)
+    res = locate(X, method, opts, t)
+    if method == "fixed":
+        assert res.estimate.tobytes() == t.tobytes()
+        assert (res.method, res.iterations, res.converged) == ("fixed", 0, True)
+        assert res.anchored == bool(np.any(np.all(X == t, axis=1)))
+    else:
+        ref = sample_mean(X) if method == "mean" else spatial_median(X, opts)
+        assert res.estimate.tobytes() == ref.estimate.tobytes()
+        assert (res.method, res.iterations, res.converged, res.anchored) == (
+            ref.method, ref.iterations, ref.converged, ref.anchored
+        )
+    assert res.objective == l1_objective(X, t if method == "fixed" else res.estimate)
+    if X.shape[0] > 1:  # the plug-in SSCM takes its location from locate
+        _, loc, _ = sscm_plugin(X, method, opts, t)
+        assert loc.estimate.tobytes() == res.estimate.tobytes()
+        assert loc.anchored == res.anchored
+
+
+def test_locate_anchored_flags():
+    X, _ = LOCATE_CASES["heavy_point"]
+    assert locate(X, "median").anchored and not locate(X, "mean").anchored
+    assert locate(LOCATE_CASES["mean_on_point"][0], "mean").anchored
+    assert not locate(RIGHT_TRIANGLE, "fixed", t=[0.5, 0.5]).anchored
+
+
+def test_locate_rejects_bad_requests():
+    with pytest.raises(InvalidInputError, match="unknown location method"):
+        locate(RIGHT_TRIANGLE, "known")
+    with pytest.raises(InvalidInputError, match="requires a location"):
+        locate(RIGHT_TRIANGLE, "fixed")
+    with pytest.raises(InvalidInputError, match="location has length"):
+        locate(RIGHT_TRIANGLE, "fixed", t=[0.0, 0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        locate(RIGHT_TRIANGLE, "fixed", t=[0.0, np.inf])
 
 
 def test_median_equilateral_triangle_is_centroid():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import signcov.simharness as harness
 from signcov import (
     ExperimentConfig,
     InvalidInputError,
+    MedianOptions,
     gaussian_model,
     ks_statistic,
     run_experiment,
@@ -88,6 +90,30 @@ def test_config_validation():
             master_seed=1,
             element=(0, 5),
         )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(median_tolerance=0.0), dict(median_tolerance=-1e-8),
+     dict(median_max_iterations=0)],
+)
+def test_invalid_median_options_rejected_by_config(overrides):
+    with pytest.raises(InvalidInputError):
+        small_table_config(**overrides)
+    with pytest.raises(InvalidInputError):  # before any qq reference draw
+        ExperimentConfig(
+            statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
+            replications=4, master_seed=3, **overrides,
+        )
+
+
+def test_config_builds_median_options_once():
+    cfg = small_table_config(median_tolerance=1e-7, median_max_iterations=50)
+    assert cfg.median_options == MedianOptions(tolerance=1e-7, max_iterations=50)
+    assert dataclasses.replace(cfg, median_tolerance=1e-6).median_options == (
+        MedianOptions(tolerance=1e-6, max_iterations=50)
+    )
+    assert "median_options" not in cfg.to_json_dict()
 
 
 def test_config_json_round_trip_and_digest():
