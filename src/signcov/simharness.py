@@ -19,7 +19,9 @@ use reserved stream indices that cannot collide with replication streams.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -57,6 +59,13 @@ METHODS = ("known", "mean", "median")
 # which stays far below 2**48 for any realistic grid.
 _REF_VARIANCE_STREAM = 1 << 48
 _REF_POPULATION_STREAM = (1 << 48) + 1
+
+# the keys ExperimentConfig.from_json_dict reads and to_json_dict writes
+_CONFIG_KEYS = frozenset({
+    "statistic", "model", "n_grid", "replications", "master_seed", "methods",
+    "p_grid", "gamma_grid", "element", "ref_draws", "median_tolerance",
+    "median_max_iterations",
+})
 
 
 @dataclass(frozen=True)
@@ -158,20 +167,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        return from_json_object(d, "config", lambda d: cls(
-            statistic=d["statistic"],
-            model=EllipticalModel.from_json_dict(d["model"]),
-            n_grid=tuple(d["n_grid"]),
-            replications=int(d["replications"]),
-            master_seed=int(d["master_seed"]),
-            location_methods=tuple(d.get("methods", METHODS)),
-            p_grid=tuple(d.get("p_grid", ())),
-            gamma_grid=tuple(d.get("gamma_grid", ())),
-            element=tuple(d.get("element", (0, 1))),
-            ref_draws=int(d.get("ref_draws", 1_000_000)),
-            median_tolerance=float(d.get("median_tolerance", 1e-10)),
-            median_max_iterations=int(d.get("median_max_iterations", 1000)),
-        ))
+        """The config that d describes; a key this does not read (say, a
+        misspelled optional key) raises rather than leave its default."""
+
+        def build(d):
+            unknown = sorted(set(d) - _CONFIG_KEYS)
+            if unknown:
+                raise InvalidInputError(
+                    f"config has unknown key(s): {', '.join(map(repr, unknown))}"
+                )
+            return cls(
+                statistic=d["statistic"],
+                model=EllipticalModel.from_json_dict(d["model"]),
+                n_grid=tuple(d["n_grid"]),
+                replications=int(d["replications"]),
+                master_seed=int(d["master_seed"]),
+                location_methods=tuple(d.get("methods", METHODS)),
+                p_grid=tuple(d.get("p_grid", ())),
+                gamma_grid=tuple(d.get("gamma_grid", ())),
+                element=tuple(d.get("element", (0, 1))),
+                ref_draws=int(d.get("ref_draws", 1_000_000)),
+                median_tolerance=float(d.get("median_tolerance", 1e-10)),
+                median_max_iterations=int(d.get("median_max_iterations", 1000)),
+            )
+
+        return from_json_object(d, "config", build)
 
     def digest(self) -> str:
         text = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -269,9 +289,74 @@ def _run_task(task) -> np.ndarray:
     return out
 
 
+# the C thread-count calls of OpenBLAS, plain or under scipy's symbol names
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}",
+     f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_") for suffix in ("", "64_")
+)
+
+
+def _openblas_thread_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps; empty where there is none or
+    no such file (another OS, another BLAS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].strip() for line in fh}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:  # RTLD_NOLOAD: only a handle on what is already loaded
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                controls.append((get_threads, set_threads))
+                break
+    return controls
+
+
+def _pin_one_blas_thread() -> list:
+    """Set every loaded OpenBLAS to one thread; returns (set, previous
+    count) per library it changed. Also the pool workers' initializer.
+
+    A library already at one thread is left alone: in a forked worker,
+    which inherits the pin, setting the count would restart the BLAS
+    thread pool that the fork shut down, and its idle threads spin."""
+    pinned = [(set_threads, n)
+              for get_threads, set_threads in _openblas_thread_controls()
+              if (n := get_threads()) != 1]
+    for set_threads, _ in pinned:
+        set_threads(1)
+    return pinned
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then restore
+    each library's previous count.
+
+    A threaded BLAS reduction rounds by its split, which follows the thread
+    count, so pinning makes the replication values independent of the host;
+    it also keeps BLAS threads from oversubscribing the pool's CPUs."""
+    pinned = _pin_one_blas_thread()
+    try:
+        yield
+    finally:
+        for set_threads, previous in pinned:
+            set_threads(previous)
+
+
 def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     """Replication values for every cell, shape (R, n_methods) each,
-    assembled in replication order regardless of worker count.
+    assembled in replication order regardless of worker count, with one
+    BLAS thread per process.
 
     The pool never exceeds the task count or the machine's CPU count."""
     workers = min(workers, os.cpu_count() or 1)
@@ -284,11 +369,14 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
         for lo in starts
     ]
     workers = min(workers, len(tasks))
-    if workers <= 1:
-        chunks = [_run_task(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_run_task, tasks)
+    with _one_blas_thread():
+        if workers <= 1:
+            chunks = [_run_task(t) for t in tasks]
+        else:
+            with multiprocessing.Pool(
+                workers, initializer=_pin_one_blas_thread
+            ) as pool:
+                chunks = pool.map(_run_task, tasks)
     per = len(starts)
     return [np.vstack(chunks[k * per:(k + 1) * per]) for k in range(len(payloads))]
 

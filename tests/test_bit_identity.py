@@ -11,9 +11,15 @@ output.
 
 The digests hold for the numpy / BLAS build they were recorded with (numpy
 2.4, OpenBLAS 0.3, x86-64); another BLAS may round ``w @ diffs``
-differently. Running this file as a script prints the digests of the code
-on the path, which is how they are re-recorded (on the previous commit,
-same machine) after such an upgrade.
+differently. They are independent of the BLAS thread count: experiments
+run their replications at one BLAS thread, and every other input here is
+below OpenBLAS's threading cut-offs (n <= 1000 at p = 2, so a gemv of
+n * p < 9216 and a dot of n <= 10000); ``OPENBLAS_NUM_THREADS=1`` and the
+host's default give the same bytes.
+
+Running this file as a script prints the digests of the code on the path,
+which is how they are re-recorded (on the previous commit, same machine)
+after such an upgrade.
 """
 
 import contextlib

@@ -212,6 +212,37 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,body,key", [
+    ("table", {**TABLE_CFG, "median_tolerence": 0, "methods": ["mean"]},
+     "median_tolerence"),
+    ("table", {**TABLE_CFG, "method": ["mean"]}, "method"),
+    ("qq", {**QQ_CFG, "refdraws": 1000}, "refdraws"),
+    ("sweep", {"statistic": "sweep", "model": {
+        **SPHERICAL2, "generator": "singularity", "gamma": 0.1},
+        "p_grid": [2], "gamma_grid": [0.1], "n_grid": [5], "replications": 2,
+        "master_seed": 1, "gama_grid": [0.2]}, "gama_grid"),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, body, key):
+    cfg_path = write(tmp_path, "cfg.json", json.dumps(body))
+    code, _, err = run(capsys, [command, "--config", cfg_path,
+                                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.startswith("error:")
+    assert repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_metadata_config_block_reruns(tmp_path, capsys):
+    # the config block of the metadata is itself a valid config
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg_path = write(tmp_path, "cfg.json", json.dumps(QQ_CFG))
+    assert run(capsys, ["qq", "--config", cfg_path, "--out", str(first)])[0] == 0
+    block = json.loads((first / "qq_metadata.json").read_text())["config"]
+    cfg_path = write(tmp_path, "block.json", json.dumps(block))
+    assert run(capsys, ["qq", "--config", cfg_path, "--out", str(again)])[0] == 0
+    assert (again / "qq.csv").read_bytes() == (first / "qq.csv").read_bytes()
+
+
 def test_asymptotics_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(72)
     X = rng.standard_normal((40, 2))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signcov import (
@@ -114,11 +114,26 @@ def test_sign_norm_is_zero_or_one(xs):
     )
 
 
+TINY = np.finfo(float).tiny  # smallest normal float
+
+
 @given(finite_vectors, st.floats(min_value=1e-8, max_value=1e8))
 @settings(max_examples=100, deadline=None)
 def test_sign_scale_invariance(xs, c):
+    # scaling a subnormal entry rounds it away from c * x, so invariance
+    # holds where every non-zero entry stays normal before and after
+    assume(all(v == 0.0 or min(abs(v), abs(c * v)) >= TINY for v in xs))
     x = np.array(xs)
     np.testing.assert_allclose(spatial_sign(c * x), spatial_sign(x), atol=1e-12)
+
+
+def test_sign_of_scaled_vector_that_underflows_is_zero():
+    # c * x underflows to the zero vector, which maps to zero by contract,
+    # while x itself has a unit sign
+    x = np.array([0.0, 5e-324])
+    assert np.array_equal(0.5 * x, [0.0, 0.0])
+    assert np.array_equal(spatial_sign(0.5 * x), [0.0, 0.0])
+    assert np.array_equal(spatial_sign(x), [0.0, 1.0])
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5))

@@ -1,5 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +128,14 @@ def test_config_json_round_trip_and_digest():
     assert back == cfg
     assert back.digest() == cfg.digest()
     assert cfg.fast_profile().replications == 4
+    # every key written is a key read
+    assert set(cfg.to_json_dict()) == harness._CONFIG_KEYS
+
+
+def test_config_unknown_key_rejected():
+    d = small_table_config().to_json_dict()
+    with pytest.raises(InvalidInputError, match="'median_tolerence'"):
+        ExperimentConfig.from_json_dict({**d, "median_tolerence": 0})
 
 
 def test_table_grid_completeness_and_se():
@@ -166,7 +180,11 @@ def test_workers_below_one_rejected(workers):
 
 class _SerialPool:
     """Stand-in for a multiprocessing pool that maps in this process, so no
-    worker process starts."""
+    worker process starts; it runs the initializer once, as a worker would."""
+
+    def __init__(self, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -189,9 +207,9 @@ def test_pool_capped_by_tasks_and_cpus(tmp_path, monkeypatch, workers, cpus, exp
     write_result_csv(run_table_experiment(cfg, workers=1), serial)
     sizes = []
 
-    def pool(processes):
+    def pool(processes, initializer=None, initargs=()):
         sizes.append(processes)
-        return _SerialPool()
+        return _SerialPool(initializer, initargs)
 
     monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
@@ -200,6 +218,155 @@ def test_pool_capped_by_tasks_and_cpus(tmp_path, monkeypatch, workers, cpus, exp
     # os.cpu_count() may report None: one worker, no pool
     assert sizes == ([] if expected is None else [expected])
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per replication process
+# ---------------------------------------------------------------------------
+
+def _blas_threads():
+    return [get() for get, _ in harness._openblas_thread_controls()]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every loaded OpenBLAS at 2 threads, so that both the pin to one
+    thread and the restore show; the counts found are put back after."""
+    controls = harness._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield [2] * len(controls)
+    for (_, set_threads), n in zip(controls, before):
+        set_threads(n)
+
+
+def _recording_rep_values(seen):
+    """harness._rep_values that first records the BLAS thread counts."""
+    rep_values = harness._rep_values
+
+    def recording(*args):
+        seen.append(_blas_threads())
+        return rep_values(*args)
+
+    return recording
+
+
+def test_every_loaded_openblas_found(blas_at_two_threads):
+    # numpy and scipy wheels each bring their own OpenBLAS, under different
+    # symbol names; pinning only one of them is not enough
+    with open("/proc/self/maps") as fh:
+        loaded = {line.split(None, 5)[-1].strip() for line in fh}
+    loaded = {path for path in loaded if "openblas" in os.path.basename(path)}
+    assert len(blas_at_two_threads) == len(loaded)
+
+
+def test_replications_run_with_one_blas_thread_then_restore(
+    monkeypatch, blas_at_two_threads
+):
+    seen = []
+    monkeypatch.setattr(harness, "_rep_values", _recording_rep_values(seen))
+    run_experiment(small_table_config(replications=3), workers=1)
+    assert seen and all(c == [1] * len(blas_at_two_threads) for c in seen)
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_pin_leaves_libraries_at_one_thread_alone(blas_at_two_threads):
+    # a forked worker inherits the pin; setting it again would restart the
+    # BLAS thread pool the fork shut down
+    with harness._one_blas_thread():
+        assert harness._pin_one_blas_thread() == []
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_blas_threads_restored_when_a_replication_raises(
+    monkeypatch, blas_at_two_threads
+):
+    def fail(*args):
+        raise RuntimeError("replication failed")
+
+    monkeypatch.setattr(harness, "_rep_values", fail)
+    with pytest.raises(RuntimeError, match="replication failed"):
+        run_experiment(small_table_config(), workers=1)
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_csv_unchanged_where_no_openblas_is_found(tmp_path, monkeypatch):
+    cfg = small_table_config(replications=5)
+    pinned, unpinned = tmp_path / "pinned.csv", tmp_path / "unpinned.csv"
+    write_result_csv(run_experiment(cfg, workers=1), pinned)
+    monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: [])
+    write_result_csv(run_experiment(cfg, workers=1), unpinned)
+    assert unpinned.read_bytes() == pinned.read_bytes()
+
+
+def test_pool_created_with_the_pin_initializer(monkeypatch, blas_at_two_threads):
+    initializers, seen = [], []
+
+    def pool(processes, initializer=None, initargs=()):
+        initializers.append(initializer)
+        return _SerialPool(initializer, initargs)
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_rep_values", _recording_rep_values(seen))
+    run_experiment(small_table_config(replications=3), workers=2)
+    assert initializers == [harness._pin_one_blas_thread]
+    assert seen and all(c == [1] * len(blas_at_two_threads) for c in seen)
+    assert _blas_threads() == blas_at_two_threads
+
+
+def test_pin_initializer_reaches_spawned_workers(monkeypatch, blas_at_two_threads):
+    # a spawned worker inherits nothing of the parent's BLAS state, only
+    # the environment: without the initializer it would run at 2 threads
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    spawn = multiprocessing.get_context("spawn")
+    with spawn.Pool(1) as pool:
+        unpinned = pool.apply_async(_blas_threads).get(timeout=120)
+    with spawn.Pool(1, initializer=harness._pin_one_blas_thread) as pool:
+        pinned = pool.apply_async(_blas_threads).get(timeout=120)
+    assert unpinned == blas_at_two_threads
+    assert pinned == [1] * len(blas_at_two_threads)
+
+
+# p=2 sweep at n=12000: above OpenBLAS's threading cut-offs for ddot
+# (n > 10000) and for the Weiszfeld gemv w @ diffs (n * p >= 9216)
+SWEEP_ABOVE_BLAS_CUTOFFS = {
+    "statistic": "sweep",
+    "model": {"generator": "singularity", "mu": [0.0, 0.0],
+              "V": [[1.0, 0.0], [0.0, 1.0]], "gamma": 0.45},
+    "p_grid": [2], "gamma_grid": [0.45], "n_grid": [12000],
+    "replications": 4, "master_seed": 11,
+}
+CLI = "import sys, signcov.cli; sys.exit(signcov.cli.main(sys.argv[1:]))"
+
+
+def test_sweep_csv_independent_of_blas_threads(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SWEEP_ABOVE_BLAS_CUTOFFS))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        for workers in ("1", "2"):
+            out = tmp_path / f"threads{threads}_workers{workers}"
+            subprocess.run(
+                [sys.executable, "-c", CLI, "sweep", "--config", str(cfg),
+                 "--workers", workers, "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            digests[threads, workers] = hashlib.sha256(
+                (out / "sweep.csv").read_bytes()
+            ).hexdigest()
+    assert len(set(digests.values())) == 1, digests
 
 
 def test_qq_structure_and_determinism():
