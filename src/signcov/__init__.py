@@ -8,6 +8,8 @@ parallel Monte Carlo harness with a CLI front end.
 
 __version__ = "0.1.0"
 
+import types
+
 from .asymptotics import (
     AsymptoticsBundle,
     compute_bundle,
@@ -18,11 +20,7 @@ from .asymptotics import (
     sandwich_cov,
     vec_sign_outers,
 )
-from .errors import (
-    DegenerateSampleError,
-    InvalidInputError,
-    UnsupportedCombinationError,
-)
+from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import (
     frobenius_sq_distance,
     kron,
@@ -45,11 +43,13 @@ from .models import (
     EllipticalModel,
     InverseMomentResult,
     SeededStream,
+    SignMoments,
     gaussian_model,
     inverse_moment,
     population_sscm_closed_p2,
     population_sscm_mc,
     sample,
+    sign_moments,
     singularity_model,
     student_t_model,
 )
@@ -77,59 +77,8 @@ from .simharness import (
     write_result_csv,
 )
 
-__all__ = [
-    "AsymptoticsBundle",
-    "CellResult",
-    "CoincidenceReport",
-    "DegenerateSampleError",
-    "EllipticalModel",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "InvalidInputError",
-    "InverseMomentResult",
-    "LocationResult",
-    "MedianOptions",
-    "QQCellResult",
-    "ScatterMatrix",
-    "SeededStream",
-    "UnsupportedCombinationError",
-    "compute_bundle",
-    "coincidence_report",
-    "element_variance",
-    "fixed_location_cov",
-    "frobenius_error_gram",
-    "frobenius_sq_distance",
-    "gaussian_model",
-    "inverse_moment",
-    "joint_mean_cov",
-    "kron",
-    "ks_statistic",
-    "l1_objective",
-    "locate",
-    "location_sensitivity",
-    "population_sscm_closed_p2",
-    "population_sscm_mc",
-    "row_norms",
-    "run_experiment",
-    "run_gamma_sweep",
-    "run_qq_experiment",
-    "run_table_experiment",
-    "sample",
-    "sample_mean",
-    "sandwich_cov",
-    "sign_outer",
-    "singularity_model",
-    "spatial_median",
-    "spatial_sign",
-    "spatial_signs",
-    "sscm_fixed",
-    "sscm_plugin",
-    "sscm_star",
-    "ssscm",
-    "student_t_model",
-    "symmetrize",
-    "vec",
-    "vec_sign_outers",
-    "write_metadata_json",
-    "write_result_csv",
-]
+# the public API is every name imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -3,14 +3,14 @@
 Subcommands:
 
 * ``estimate``    -- location + SSCM variants for a numeric CSV file.
-* ``oracle``      -- population SSCM of a model (closed form p = 2, or MC).
+* ``oracle``      -- population SSCM of a model (exact, or MC).
 * ``asymptotics`` -- limit-covariance bundle for a numeric CSV file.
 * ``table`` / ``qq`` / ``sweep`` -- the Monte Carlo experiment families,
   driven by a JSON config file.
 
-Exit codes: 0 success, 2 input/config error, 3 degenerate data,
-4 unsupported combination. The environment variable SIGNCOV_SEED overrides
-the default seed when no --seed is given explicitly.
+Exit codes: 0 success, 2 input/config error, 3 degenerate data. The
+environment variable SIGNCOV_SEED overrides the default seed when no --seed
+is given explicitly.
 
 Matrices are serialized as {"dims": [rows, cols], "data": [row-major]}.
 JSON floats use Python repr, so parsing the output back recovers every
@@ -35,11 +35,7 @@ from .asymptotics import (
     fixed_location_cov,
     location_sensitivity,
 )
-from .errors import (
-    DegenerateSampleError,
-    InvalidInputError,
-    UnsupportedCombinationError,
-)
+from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import matrix_json
 from .location import LOCATION_METHODS, locate
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
@@ -48,6 +44,7 @@ from .models import (
     SeededStream,
     population_sscm_closed_p2,
     population_sscm_mc,
+    sign_moments,
 )
 from .scatter import ScatterMatrix, sscm_plugin, sscm_star, ssscm
 from .simharness import (
@@ -63,7 +60,6 @@ SEED_ENV_VAR = "SIGNCOV_SEED"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
-EXIT_UNSUPPORTED = 4
 
 
 def read_numeric_csv(path) -> np.ndarray:
@@ -218,12 +214,10 @@ def _bundle_payload(X, location_method: str, t) -> dict:
 
 def cmd_oracle(args) -> int:
     model = EllipticalModel.from_json(args.model)
-    if args.method == "closed":
-        if model.p != 2:
-            raise UnsupportedCombinationError(
-                "closed-form oracle is available only for p = 2"
-            )
-        s, se, n_draws = population_sscm_closed_p2(model.V), None, None
+    if args.method == "closed":  # exact: the bivariate closed form, or quadrature
+        s = (population_sscm_closed_p2(model.V) if model.p == 2
+             else sign_moments(model.V).population())
+        se, n_draws = None, None
     else:
         seed = _resolve_seed(args.seed, default=0)
         n_draws = args.mc_size
@@ -364,9 +358,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UnsupportedCombinationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNSUPPORTED
     except DegenerateSampleError as exc:
         sys.stderr.write(f"error: degenerate sample: {exc}\n")
         return EXIT_DEGENERATE

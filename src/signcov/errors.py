@@ -11,11 +11,6 @@ class DegenerateSampleError(ValueError):
     e.g. every observation coincides with the location."""
 
 
-class UnsupportedCombinationError(ValueError):
-    """Raised when a request combines options that are individually valid
-    but have no implementation, e.g. the closed-form oracle with p != 2."""
-
-
 def from_json_object(d, what: str, build):
     """build(d) for a decoded JSON object d; a non-object, a missing key or
     a value of the wrong type or form raises InvalidInputError."""
@@ -29,3 +24,12 @@ def from_json_object(d, what: str, build):
         raise
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"invalid {what}: {exc}") from None
+
+
+def reject_unknown_keys(d: dict, known, what: str) -> None:
+    """Raise InvalidInputError naming every key of d that is not in known."""
+    unknown = sorted(set(d).difference(known))
+    if unknown:
+        raise InvalidInputError(
+            f"{what} has unknown key(s): {', '.join(map(repr, unknown))}"
+        )

@@ -13,8 +13,9 @@ Three experiment families:
 Determinism contract: every replication draws from its own stream, keyed by
 (cell index, replication index) and the master seed only. Results are
 therefore bitwise identical for any worker count, and aggregation happens in
-replication order. Reference quantities (population SSCM, limit variance)
-use reserved stream indices that cannot collide with replication streams.
+replication order. The ``qq`` reference quantities (population element,
+limit variance) are exact functions of the model's shape matrix
+(``models.sign_moments``) and draw no random numbers.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import scipy
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from .asymptotics import element_variance, fixed_location_cov
-from .errors import InvalidInputError, from_json_object
+from .errors import InvalidInputError, from_json_object, reject_unknown_keys
 from .linalg import spatial_signs
 from .location import MedianOptions, locate
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
@@ -47,25 +47,22 @@ from .models import (
     EllipticalModel,
     SeededStream,
     population_sscm_closed_p2,
-    population_sscm_mc,
     sample,
+    sign_moments,
     singularity_model,
 )
 from .scatter import frobenius_error_gram
 
 METHODS = ("known", "mean", "median")
 
-# Reserved stream indices; replication streams use cell_index * R + rep,
-# which stays far below 2**48 for any realistic grid.
-_REF_VARIANCE_STREAM = 1 << 48
-_REF_POPULATION_STREAM = (1 << 48) + 1
-
 # the keys ExperimentConfig.from_json_dict reads and to_json_dict writes
 _CONFIG_KEYS = frozenset({
     "statistic", "model", "n_grid", "replications", "master_seed", "methods",
-    "p_grid", "gamma_grid", "element", "ref_draws", "median_tolerance",
+    "p_grid", "gamma_grid", "element", "median_tolerance",
     "median_max_iterations",
 })
+# read and ignored: ref_draws sized the Monte Carlo qq reference of older versions
+_LEGACY_CONFIG_KEYS = frozenset({"ref_draws"})
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class ExperimentConfig:
     p_grid: tuple[int, ...] = ()
     gamma_grid: tuple[float, ...] = ()
     element: tuple[int, int] = (0, 1)
-    ref_draws: int = 1_000_000
     median_tolerance: float = 1e-10
     median_max_iterations: int = 1000
     # built from the two fields above when the config is validated
@@ -146,8 +142,6 @@ class ExperimentConfig:
             p = self.model.p
             if not (0 <= i < p and 0 <= j < p):
                 raise InvalidInputError("element indices out of range")
-            if self.ref_draws < 1000:
-                raise InvalidInputError("ref_draws must be at least 1000")
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +154,6 @@ class ExperimentConfig:
             "p_grid": list(self.p_grid),
             "gamma_grid": list(self.gamma_grid),
             "element": list(self.element),
-            "ref_draws": self.ref_draws,
             "median_tolerance": self.median_tolerance,
             "median_max_iterations": self.median_max_iterations,
         }
@@ -171,11 +164,7 @@ class ExperimentConfig:
         misspelled optional key) raises rather than leave its default."""
 
         def build(d):
-            unknown = sorted(set(d) - _CONFIG_KEYS)
-            if unknown:
-                raise InvalidInputError(
-                    f"config has unknown key(s): {', '.join(map(repr, unknown))}"
-                )
+            reject_unknown_keys(d, _CONFIG_KEYS | _LEGACY_CONFIG_KEYS, "config")
             return cls(
                 statistic=d["statistic"],
                 model=EllipticalModel.from_json_dict(d["model"]),
@@ -186,7 +175,6 @@ class ExperimentConfig:
                 p_grid=tuple(d.get("p_grid", ())),
                 gamma_grid=tuple(d.get("gamma_grid", ())),
                 element=tuple(d.get("element", (0, 1))),
-                ref_draws=int(d.get("ref_draws", 1_000_000)),
                 median_tolerance=float(d.get("median_tolerance", 1e-10)),
                 median_max_iterations=int(d.get("median_max_iterations", 1000)),
             )
@@ -416,36 +404,29 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
     """The qq run's metadata extras, and (sigma^2, the N(0, sigma^2)
     quantiles paired with the sorted replication values).
 
-    sigma^2 is the (i, j) limit variance taken from an MC estimate of the
-    fixed-location limit covariance at ref_draws draws; the population S
-    comes from the bivariate closed form when p = 2 and from a Monte Carlo
-    oracle otherwise.
+    sigma^2 is the exact fixed-location limit variance of element (i, j),
+    from the sign moments by quadrature (models.sign_moments); the
+    population S[i, j] comes from the bivariate closed form when p = 2 and
+    from the same moments otherwise. Both depend on the shape matrix alone,
+    so the reference draws nothing and is the same for every seed; the
+    extras record where each came from.
     """
     model = config.model
     i, j = config.element
+    moments = sign_moments(model.V)
     if model.p == 2:
         S_pop, pop_source = population_sscm_closed_p2(model.V), "closed_p2"
     else:
-        S_pop, _ = population_sscm_mc(
-            model, config.ref_draws,
-            SeededStream(config.master_seed, _REF_POPULATION_STREAM),
-        )
-        pop_source = f"mc({config.ref_draws})"
-
-    X_ref = sample(
-        model, config.ref_draws,
-        SeededStream(config.master_seed, _REF_VARIANCE_STREAM),
-    )
-    W = fixed_location_cov(X_ref, model.mu)
-    sigma2 = element_variance(W, i, j)
+        S_pop, pop_source = moments.population(), "quadrature"
+    sigma2 = moments.element_variance(i, j)
 
     R = config.replications
     probs = (np.arange(1, R + 1) - 0.5) / R
     extras = {
         "sigma2": sigma2,
+        "sigma2_source": "quadrature",
         "population_element": float(S_pop.matrix[i, j]),
         "population_source": pop_source,
-        "ref_draws": config.ref_draws,
     }
     return extras, (sigma2, norm.ppf(probs) * math.sqrt(sigma2))
 
@@ -520,7 +501,7 @@ STATISTICS = {
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every replication of every cell, then reduce each cell per
     location method, in replication order for any worker count."""
-    if workers < 1:  # checked before the costly reference quantities
+    if workers < 1:
         raise InvalidInputError("workers must be at least 1")
     start = time.perf_counter()
     stat = STATISTICS[config.statistic]

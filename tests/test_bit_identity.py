@@ -17,12 +17,21 @@ below OpenBLAS's threading cut-offs (n <= 1000 at p = 2, so a gemv of
 n * p < 9216 and a dot of n <= 10000); ``OPENBLAS_NUM_THREADS=1`` and the
 host's default give the same bytes.
 
+When the qq reference became exact (the limit variance by quadrature, no
+longer a Monte Carlo estimate, and no ``ref_draws`` config key), the qq CSV
+and metadata/summary digests and the table and sweep metadata digests were
+re-recorded once: the qq reference column, sigma^2 and KS distances moved,
+and every metadata ``config`` block lost its ``ref_draws`` line (hence a new
+``config_digest``). The digest of the qq CSV's empirical column alone was
+recorded before that change and still holds.
+
 Running this file as a script prints the digests of the code on the path,
 which is how they are re-recorded (on the previous commit, same machine)
 after such an upgrade.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -173,7 +182,6 @@ def experiment_configs() -> dict:
             n_grid=(10, 40),
             replications=30,
             master_seed=33,
-            ref_draws=2000,
         ),
     }
 
@@ -189,7 +197,7 @@ CSV_DIGESTS = {
     "sweep":
         "d82ca717c6d08f6f91f64f7442d3132a494382f4f7c39190ad7979d699846c20",
     "qq":
-        "f8adfb9e08ed08aa1ba9ce90f6bb894904a221d5ab93a539ca23cc040840951d",
+        "1ed72759e53e15cb721071987563b4e034f0621e680928025f0ef1ccdc0e564f",
 }
 
 
@@ -197,6 +205,24 @@ CSV_DIGESTS = {
 def test_experiment_csv_bits_pinned(tmp_path, statistic):
     config = experiment_configs()[statistic]
     assert csv_digest(config, tmp_path / "out.csv") == CSV_DIGESTS[statistic]
+
+
+def qq_empirical_digest(path) -> str:
+    """Digest of the golden qq CSV's empirical column alone: the replication
+    values, which do not depend on how the limit variance is obtained."""
+    write_result_csv(run_experiment(experiment_configs()["qq"], workers=1), path)
+    with open(path, newline="") as fh:
+        column = [row["empirical"] for row in csv.DictReader(fh)]
+    return hashlib.sha256("\n".join(column).encode()).hexdigest()
+
+
+QQ_EMPIRICAL_DIGEST = (
+    "73774a50b79ca8d090b7c0cae7713ef71b3519df0d980573146397c5e37ece89"
+)
+
+
+def test_qq_empirical_column_bits_pinned(tmp_path):
+    assert qq_empirical_digest(tmp_path / "qq.csv") == QQ_EMPIRICAL_DIGEST
 
 
 ESTIMATE_ARGS = {
@@ -331,15 +357,15 @@ def experiment_cli_digests(workdir, statistic) -> tuple[str, str]:
 # (metadata, summary) per statistic
 EXPERIMENT_CLI_DIGESTS = {
     "qq": (
-        "5285cb9c8fbd9da2b53eade9417f87b416d966cb9773a0c0d13c71d9b15b8897",
-        "939c7d9836cfd05aaa2cfcad50676843ca58e8430899fcda8110b1c7281a6637",
+        "af046d32942c4cf10e6b3efc0c11f477039e85793ebb9d176657634e73cf3d3e",
+        "7509ad82a4315a288bc464f9e81e2a7a3ba9f1fe62a46df0d9a4879b16c0ec8a",
     ),
     "sweep": (
-        "15412deb2141d40445fcd916a53d06fc54738b61fa55861e1f9901c01860c811",
+        "7af6bf94ee69baaeb62a5a58b1d8ae6aab7a2dc674c3f63a0d5f0a35bf8c3c1e",
         "5a19174467130ce5d20e45e01b2fa42378915c1048fc1614de2572253dfc3aaf",
     ),
     "table": (
-        "0b1c27a84d82d54dfba3b6a1711b53c7ac82416f8686bb15e06e4e6ba6e5bfd6",
+        "0d2a9000a1367452d5fa9da1b3ad130ace28e2b7f3361330ed3135c4a9e36966",
         "a862b18969d3b38912c72c2bbfa44cb153956cecf3eb2659f7cb0142f0ff0048",
     ),
 }
@@ -365,6 +391,10 @@ if __name__ == "__main__":
         print(json.dumps(
             {s: csv_digest(c, tmp / f"{s}.csv")
              for s, c in experiment_configs().items()}, indent=4
+        ))
+        print(json.dumps(
+            {"qq_empirical": qq_empirical_digest(tmp / "qq_empirical.csv")},
+            indent=4,
         ))
         print(json.dumps(
             {loc: estimate_digest(tmp, loc) for loc in sorted(ESTIMATE_ARGS)},

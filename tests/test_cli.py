@@ -148,13 +148,22 @@ def test_oracle_closed_matches_printed_value(capsys):
     assert payload["se"] is None
 
 
-def test_oracle_closed_p3_unsupported(capsys):
-    model = json.dumps(
-        {"generator": "gaussian", "mu": [0.0, 0.0, 0.0], "V": np.eye(3).tolist()}
-    )
-    code, _, err = run(capsys, ["oracle", "--model", model, "--method", "closed"])
-    assert code == 4
-    assert "p = 2" in err
+def test_oracle_closed_p3_matches_mc(capsys):
+    model = json.dumps({"generator": "student_t", "nu": 4.0, "mu": [1.0, 0.0, -1.0],
+                        "V": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]})
+    code, out, _ = run(capsys, ["oracle", "--model", model, "--method", "closed"])
+    assert code == 0
+    closed = json.loads(out)
+    assert closed["method"] == "closed" and closed["se"] is None
+    code, out, _ = run(capsys, ["oracle", "--model", model, "--method", "mc",
+                                "--mc-size", "200000", "--seed", "3"])
+    assert code == 0
+    mc = json.loads(out)
+    M = np.array(closed["matrix"]["data"]).reshape(3, 3)
+    M_mc = np.array(mc["matrix"]["data"]).reshape(3, 3)
+    se = np.array(mc["se"]["data"]).reshape(3, 3)
+    assert np.trace(M) == pytest.approx(1.0, abs=1e-14)
+    assert np.all(np.abs(M - M_mc) <= 4.0 * se)
 
 
 def test_oracle_mc_spherical(capsys):
@@ -210,6 +219,43 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+# a student_t model with a stray gamma and a shape key that nothing reads
+STRAY_KEYS_MODEL = {**SPHERICAL2, "generator": "student_t", "nu": 3, "gamma": 0.2,
+                    "shape": [[4.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("model,message", [
+    (STRAY_KEYS_MODEL, "'shape'"),
+    ({k: v for k, v in STRAY_KEYS_MODEL.items() if k != "shape"}, "gamma"),
+    ({**SPHERICAL2, "nu": 3}, "nu"),
+])
+@pytest.mark.parametrize("command", ["oracle", "qq"])
+def test_model_with_keys_it_does_not_read_exits_2(tmp_path, capsys, command, model,
+                                                  message):
+    if command == "oracle":
+        argv = ["oracle", "--model", json.dumps(model)]
+    else:
+        cfg_path = write(tmp_path, "cfg.json", json.dumps({**QQ_CFG, "model": model}))
+        argv = ["qq", "--config", cfg_path, "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_legacy_ref_draws_key_accepted_and_ignored(tmp_path, capsys):
+    csvs = []
+    for name, body in [("legacy", QQ_CFG), ("plain", {
+            k: v for k, v in QQ_CFG.items() if k != "ref_draws"})]:
+        cfg_path = write(tmp_path, f"{name}.json", json.dumps(body))
+        out = tmp_path / name
+        assert run(capsys, ["qq", "--config", cfg_path, "--out", str(out)])[0] == 0
+        meta = json.loads((out / "qq_metadata.json").read_text())
+        assert "ref_draws" not in meta["config"] and "ref_draws" not in meta["extras"]
+        csvs.append((out / "qq.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("command,body,key", [

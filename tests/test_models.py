@@ -1,19 +1,28 @@
+import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import signcov.simharness as harness
 from signcov import (
     EllipticalModel,
+    ExperimentConfig,
     InvalidInputError,
     SeededStream,
+    element_variance,
+    fixed_location_cov,
     gaussian_model,
     inverse_moment,
     population_sscm_closed_p2,
     population_sscm_mc,
     row_norms,
+    run_qq_experiment,
     sample,
+    sign_moments,
     singularity_model,
     student_t_model,
 )
@@ -193,3 +202,160 @@ def test_model_json_round_trip():
         EllipticalModel.from_json("not json")
     with pytest.raises(InvalidInputError):
         EllipticalModel.from_json('{"generator": "gaussian"}')
+
+
+@pytest.mark.parametrize("model", [
+    gaussian_model([0.5, -1.0], SHAPE),
+    student_t_model(2.0, [0.5, -1.0], SHAPE),
+    singularity_model(0.3, 3),
+], ids=lambda m: m.generator)
+def test_model_json_round_trip_every_generator(model):
+    back = EllipticalModel.from_json(json.dumps(model.to_json_dict()))
+    assert back == model
+    assert back.to_json_dict() == model.to_json_dict()
+
+
+STUDENT_T = {"generator": "student_t", "mu": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]],
+             "nu": 3.0}
+
+
+@pytest.mark.parametrize("body,match", [
+    ({**STUDENT_T, "shape": [[4.0, 0.0], [0.0, 1.0]]}, "'shape'"),
+    ({**STUDENT_T, "gamma": 0.2}, "gamma does not apply to student_t"),
+    ({**STUDENT_T, "generator": "gaussian"}, "nu does not apply to gaussian"),
+    ({**STUDENT_T, "generator": "singularity", "gamma": 0.2},
+     "nu does not apply to singularity"),
+])
+def test_model_json_rejects_keys_it_does_not_read(body, match):
+    with pytest.raises(InvalidInputError, match=match):
+        EllipticalModel.from_json(json.dumps(body))
+
+
+# --------------------------------------------------------------------------
+# exact sign moments
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 2, 3, 10])
+def test_sign_moments_spherical_closed_forms(p):
+    m = sign_moments(2.5 * np.eye(p))
+    assert np.abs(m.second - 1.0 / p).max() <= 1e-15
+    # E[w_a^2 w_b^2] = 1/(p(p+2)) for a != b and E[w_a^4] = 3/(p(p+2))
+    expected = np.full((p, p), 1.0 / (p * (p + 2)))
+    assert np.abs(m.fourth - expected).max() <= 1e-15
+    assert np.abs(m.population().matrix - np.eye(p) / p).max() <= 1e-15
+    if p > 1:
+        assert abs(m.element_variance(0, p - 1) - 1.0 / (p * (p + 2))) <= 1e-15
+    assert abs(m.element_variance(0, 0) - (3.0 / (p * (p + 2)) - 1.0 / p**2)) <= 1e-15
+
+
+@pytest.mark.parametrize("eigenvalues,tol", [((0.5, 1.5), 1e-15), ((0.2, 3.0), 1e-15),
+                                             ((1.0, 1e8), 1e-13)])
+def test_sign_moments_bivariate_closed_forms(eigenvalues, tol):
+    # with a, b = sqrt(lambda): w_1 = a cos / sqrt(a^2 cos^2 + b^2 sin^2) for a
+    # uniform angle, and tan-substitution gives E[w_1^4] = a (2a + b) / (2 (a + b)^2)
+    # and E[w_1^2 w_2^2] = a b / (2 (a + b)^2)
+    m = sign_moments(np.diag(eigenvalues))
+    a, b = np.sqrt(eigenvalues)
+    assert np.abs(m.second - [a / (a + b), b / (a + b)]).max() <= tol
+    assert abs(3.0 * m.fourth[0, 0] - a * (2 * a + b) / (2 * (a + b) ** 2)) <= tol
+    assert abs(3.0 * m.fourth[1, 1] - b * (2 * b + a) / (2 * (a + b) ** 2)) <= tol
+    assert abs(m.fourth[0, 1] - a * b / (2 * (a + b) ** 2)) <= tol
+    R = random_orthogonal(np.random.default_rng(5), 2)
+    V = R @ np.diag(eigenvalues) @ R.T
+    V = (V + V.T) / 2.0
+    S = sign_moments(V).population().matrix
+    assert np.abs(S - population_sscm_closed_p2(V).matrix).max() <= tol
+
+
+def test_sign_moments_acceptance_shape_variance():
+    m = sign_moments(SHAPE)
+    assert m.population().matrix[0, 1] == pytest.approx(SHAPE_OFFDIAG, abs=1e-15)
+    assert abs(m.element_variance(0, 1) - (math.sqrt(3.0) / 2.0 - 0.75)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_sign_moments_match_monte_carlo(p):
+    rng = np.random.default_rng(40 + p)
+    A = rng.standard_normal((p, p))
+    V = A @ A.T + 0.5 * np.eye(p)
+    model = student_t_model(3.0, rng.standard_normal(p), (V + V.T) / 2.0)
+    m = sign_moments(model.V)
+    S = m.population().matrix
+    S_mc, se = population_sscm_mc(model, 200_000, SeededStream(p, 0))
+    assert np.all(np.abs(S - S_mc.matrix) <= 4.0 * se)
+
+    X = sample(model, 200_000, SeededStream(p, 1))
+    W = fixed_location_cov(X, model.mu)
+    U = X - model.mu
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    for i, j in [(0, 1), (1, 1), (0, p - 1)]:
+        z = U[:, i] * U[:, j]
+        dev2 = (z - z.mean()) ** 2
+        mc_se = dev2.std() / math.sqrt(z.size)
+        assert abs(m.element_variance(i, j) - element_variance(W, i, j)) <= 4.0 * mc_se
+
+
+def test_sign_moments_rejects_bad_input():
+    with pytest.raises(InvalidInputError):
+        sign_moments(np.ones((2, 3)))
+    with pytest.raises(InvalidInputError):
+        sign_moments(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PD
+    with pytest.raises(InvalidInputError):
+        sign_moments(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def _qq_config(p, **kw):
+    return ExperimentConfig(
+        statistic="qq", model=gaussian_model(np.zeros(p), np.eye(p)),
+        n_grid=(6, 9), replications=5, master_seed=17, **kw,
+    )
+
+
+def test_qq_reference_exact_and_seed_free():
+    extras, (sigma2, _) = harness._qq_reference(_qq_config(10))
+    assert extras["population_element"] == 0.0
+    assert extras["population_source"] == "quadrature"
+    assert extras["sigma2_source"] == "quadrature"
+    assert abs(sigma2 - 1.0 / 120.0) <= 1e-16
+    other_seed = dataclasses.replace(_qq_config(10), master_seed=18)
+    assert harness._qq_reference(other_seed)[0] == extras
+    shaped = ExperimentConfig(statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE),
+                              n_grid=(6,), replications=5, master_seed=17)
+    extras = harness._qq_reference(shaped)[0]
+    assert extras["population_source"] == "closed_p2"
+    assert extras["population_element"] == population_sscm_closed_p2(SHAPE).matrix[0, 1]
+
+
+def test_qq_run_draws_only_replication_streams(monkeypatch):
+    drawn = []
+
+    def counting_sample(model, n, stream):
+        drawn.append(stream.stream_index)
+        return sample(model, n, stream)
+
+    monkeypatch.setattr(harness, "sample", counting_sample)
+    run_qq_experiment(_qq_config(3), workers=1)
+    assert sorted(drawn) == list(range(2 * 5))  # cell_index * R + rep
+
+
+def test_qq_reference_memory_small():
+    config = _qq_config(10)
+    harness._qq_reference(config)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        harness._qq_reference(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_public_api_lists_the_imported_names_only():
+    import types
+
+    import signcov
+
+    assert {"EllipticalModel", "SignMoments", "run_experiment", "sign_moments",
+            "spatial_median"} <= set(signcov.__all__)
+    assert not any(isinstance(getattr(signcov, name), types.ModuleType)
+                   for name in signcov.__all__)

@@ -172,7 +172,7 @@ def test_workers_below_one_rejected(workers):
         run_table_experiment(small_table_config(), workers=workers)
     qq = ExperimentConfig(
         statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
-        replications=4, master_seed=3, ref_draws=1000,
+        replications=4, master_seed=3,
     )
     with pytest.raises(InvalidInputError, match="workers"):
         run_qq_experiment(qq, workers=workers)
@@ -377,7 +377,6 @@ def test_qq_structure_and_determinism():
         replications=64,
         master_seed=1002,
         location_methods=("mean", "median"),
-        ref_draws=20_000,
     )
     res = run_qq_experiment(cfg, workers=2)
     assert len(res.cells) == 2 * 2
@@ -453,7 +452,6 @@ def test_qq_csv_rows_per_quantile_pair(tmp_path):
         replications=20,
         master_seed=1004,
         location_methods=("median",),
-        ref_draws=10_000,
     )
     res = run_qq_experiment(cfg, workers=1)
     path = tmp_path / "qq.csv"
