@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
 from .linalg import require_finite, row_norms, spatial_signs, symmetrize
@@ -251,6 +250,8 @@ def sign_moments(V) -> SignMoments:
     (smooth integrands; polynomials when V ~ I) by one vector-valued adaptive
     Gauss-Kronrod quadrature, to about 1e-16.
     """
+    from scipy.integrate import quad_vec  # loaded on first use: slow to import
+
     V = require_finite(V, "V")
     if V.ndim != 2 or not 0 < V.shape[0] == V.shape[1]:
         raise InvalidInputError("V must be a square matrix")

@@ -35,9 +35,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
-from scipy.special import ndtr
-from scipy.stats import norm
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
 from .linalg import spatial_signs
@@ -232,6 +229,8 @@ def ks_statistic(sample_values, sigma2: float) -> float:
         raise InvalidInputError("sample must be nonempty")
     if not sigma2 > 0:
         raise InvalidInputError("sigma2 must be positive")
+    from scipy.special import ndtr  # loaded on first use: slow to import
+
     F = ndtr(x / math.sqrt(sigma2))
     n = x.size
     upper = np.arange(1, n + 1) / n - F
@@ -316,7 +315,12 @@ def _pin_one_blas_thread() -> list:
 
     A library already at one thread is left alone: in a forked worker,
     which inherits the pin, setting the count would restart the BLAS
-    thread pool that the fork shut down, and its idle threads spin."""
+    thread pool that the fork shut down, and its idle threads spin. In a
+    pool worker it also sets OPENBLAS_NUM_THREADS to 1, so that an OpenBLAS
+    loaded later (scipy's, on first use) starts at one thread too; the
+    parent process's environment is never touched."""
+    if multiprocessing.parent_process() is not None:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     pinned = [(set_threads, n)
               for get_threads, set_threads in _openblas_thread_controls()
               if (n := get_threads()) != 1]
@@ -411,6 +415,8 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
     so the reference draws nothing and is the same for every seed; the
     extras record where each came from.
     """
+    from scipy.special import ndtri  # the N(0, 1) quantile, as in scipy.stats.norm
+
     model = config.model
     i, j = config.element
     moments = sign_moments(model.V)
@@ -428,7 +434,7 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
         "population_element": float(S_pop.matrix[i, j]),
         "population_source": pop_source,
     }
-    return extras, (sigma2, norm.ppf(probs) * math.sqrt(sigma2))
+    return extras, (sigma2, ndtri(probs) * math.sqrt(sigma2))
 
 
 @dataclass(frozen=True)
@@ -503,6 +509,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     location method, in replication order for any worker count."""
     if workers < 1:
         raise InvalidInputError("workers must be at least 1")
+    if config.statistic == "qq":
+        # scipy loads on first use; load the reference's modules before the
+        # clock, so that wall_time counts replications and reference only
+        import scipy.integrate  # noqa: F401
+        import scipy.special  # noqa: F401
     start = time.perf_counter()
     stat = STATISTICS[config.statistic]
     extras, reference = _qq_reference(config) if config.statistic == "qq" else ({}, None)
@@ -569,6 +580,8 @@ def write_result_csv(result: ExperimentResult, path) -> None:
 
 
 def write_metadata_json(result: ExperimentResult, path) -> None:
+    import scipy
+
     from . import __version__
 
     meta = {

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signcov.cli
 from signcov.cli import main
 
 TRIANGLE_CSV = "0,0\n1,0\n0,1\n"
@@ -417,3 +422,82 @@ def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "x.csv", "--bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy loads on first use only
+# ---------------------------------------------------------------------------
+
+# imports signcov.cli, runs the command in argv if there is one, and prints
+# the scipy modules then loaded as the last line of stderr
+FRESH_CLI = """
+import json, sys
+import signcov.cli
+code = signcov.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+P3_MODEL = json.dumps({"generator": "student_t", "nu": 4.0, "mu": [1.0, 0.0, -1.0],
+                       "V": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]})
+
+
+def run_fresh(argv):
+    """(exit code, stdout, scipy modules loaded) of a signcov command run in
+    a fresh interpreter with only the package's source tree on the path; the
+    test process has long loaded scipy, so only a fresh one shows what a
+    command imports."""
+    src = str(Path(signcov.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert run_fresh([]) == (0, "", [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--star", "--symmetrized", "--asymptotics"],
+    ["asymptotics"],
+])
+def test_file_commands_load_no_scipy(tmp_path, capsys, argv):
+    X = np.random.default_rng(73).standard_normal((30, 3))
+    csv_path = write(
+        tmp_path,
+        "data.csv",
+        "\n".join(",".join(repr(float(v)) for v in row) for row in X) + "\n",
+    )
+    argv = [argv[0], csv_path, *argv[1:]]
+    code, out, modules = run_fresh(argv)
+    assert (code, modules) == (0, [])
+    assert out == run(capsys, argv)[1]
+
+
+def test_oracle_closed_in_fresh_interpreter(capsys):
+    argv = ["oracle", "--model", P3_MODEL, "--method", "closed"]
+    code, out, modules = run_fresh(argv)
+    assert code == 0
+    assert "scipy.integrate" in modules
+    assert out == run(capsys, argv)[1]
+
+
+def test_qq_in_fresh_interpreter(tmp_path, capsys):
+    cfg = {"statistic": "qq", "model": json.loads(P3_MODEL), "n_grid": [5, 8],
+           "replications": 7, "master_seed": 5, "element": [0, 2]}
+    cfg_path = write(tmp_path, "qq.json", json.dumps(cfg))
+    outputs = {}
+    for where in ("fresh", "in_process"):
+        out_dir = tmp_path / where
+        argv = ["qq", "--config", cfg_path, "--out", str(out_dir)]
+        code, out, _ = run_fresh(argv) if where == "fresh" else run(capsys, argv)
+        assert code == 0
+        meta = json.loads((out_dir / "qq_metadata.json").read_text())
+        del meta["wall_time"]
+        summary = out.replace(str(out_dir), "OUT")
+        outputs[where] = ((out_dir / "qq.csv").read_bytes(), meta, summary)
+    assert outputs["fresh"] == outputs["in_process"]
+    assert outputs["fresh"][1]["versions"]["scipy"]

@@ -369,6 +369,40 @@ def test_sweep_csv_independent_of_blas_threads(tmp_path):
     assert len(set(digests.values())) == 1, digests
 
 
+# records the scipy modules loaded at each clock reading of a qq run
+QQ_CLOCK_PROBE = """
+import json, sys
+import signcov.simharness as harness
+from signcov import ExperimentConfig, gaussian_model
+
+seen, clock = [], harness.time.perf_counter
+def recording():
+    seen.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    return clock()
+harness.time.perf_counter = recording
+harness.run_experiment(ExperimentConfig(
+    statistic="qq", model=gaussian_model([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]),
+    n_grid=(5,), replications=3, master_seed=1,
+))
+print(json.dumps(seen))
+"""
+
+
+def test_qq_scipy_loads_before_the_clock():
+    # scipy loads on first use; had it loaded inside the clock, wall_time
+    # and the rate derived from it would count the import. Only a fresh
+    # interpreter shows this: the test process has long loaded scipy.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", QQ_CLOCK_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    start, *_, stop = json.loads(proc.stdout)
+    assert {"scipy.integrate", "scipy.special"} <= set(start)
+    assert stop == start
+
+
 def test_qq_structure_and_determinism():
     cfg = ExperimentConfig(
         statistic="qq",
