@@ -1,13 +1,14 @@
 """Location estimators feeding the plug-in SSCM: sample mean and the
 spatial median, plus a given fixed location; ``locate`` dispatches by name.
 
-The spatial median minimizes sum_i |X_i - mu|. It is computed by a damped
-Weiszfeld iteration with explicit handling of data points: a point y with
-multiplicity eta is optimal iff the norm of the summed spatial signs of the
-remaining observations is at most eta. Iterates that land exactly on a
-non-optimal data point step off along the damped reweighted direction
-(Vardi-Zhang); iterates approaching an optimal data point (which plain
-reweighting never reaches exactly) snap onto it once the test passes.
+The spatial median minimizes sum_i |X_i - mu|. It is computed by Newton
+steps on that objective with a Weiszfeld step as the safeguard, and with
+explicit handling of data points: a point y with multiplicity eta is optimal
+iff the norm of the summed spatial signs of the remaining observations is at
+most eta. Iterates that land exactly on a non-optimal data point step off
+along the damped reweighted direction (Vardi-Zhang); iterates approaching an
+optimal data point (which the smooth steps never reach exactly) snap onto it
+once the test passes. The certificate is the sign-resultant test either way.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
 
@@ -148,6 +149,13 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     return bool(np.sqrt(resultant @ resultant) <= eta)
 
 
+def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, float]:
+    """Differences X_i - y, their norms and the objective (their sum)."""
+    diffs = X - y
+    r = row_norms(diffs)
+    return diffs, r, float(r.sum())
+
+
 def sample_mean(X) -> LocationResult:
     """Componentwise average of the observations."""
     X = _as_sample(X)
@@ -161,7 +169,12 @@ def sample_mean(X) -> LocationResult:
 
 
 def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
-    """Minimizer of sum_i |X_i - mu| via damped Weiszfeld iteration.
+    """Minimizer of sum_i |X_i - mu| via safeguarded Newton iteration.
+
+    An interior step is H^-1 R (R = sum_i u_i the sign resultant, H =
+    sum_i (I - u_i u_i^T) / r_i the Hessian) unless that raises the
+    objective, H is singular or the step is not finite; then it is the
+    Weiszfeld step R / sum_i (1 / r_i).
 
     Parameters
     ----------
@@ -175,9 +188,9 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     LocationResult
         converged certifies first-order optimality: an anchored data point
         passing the multiplicity test, or an interior point with a small
-        sign resultant reached by a sub-threshold step. When the iteration
-        budget runs out, or extreme mass concentration pins the iterate at
-        an uncertifiable point, the last iterate is returned with
+        sign resultant reached by a sub-threshold (or zero) step. When the
+        iteration budget runs out, or extreme mass concentration pins the
+        iterate at an uncertifiable point, the last iterate is returned with
         converged=False.
     """
     X = _as_sample(X)
@@ -190,12 +203,14 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     else:
         y = np.median(X, axis=0)
 
-    scale = float(np.max(row_norms(X - y))) if n > 1 else 0.0
+    diffs, r, objective = _radii(X, y)
+    scale = float(r.max())
     if scale == 0.0:
         scale = 1.0
     threshold = opts.tolerance * scale
 
-    history = [l1_objective(X, y)] if opts.track_objective else None
+    history = [] if opts.track_objective else None
+    identity = np.eye(p)
 
     # Converged means certified: either an anchored data point passing the
     # multiplicity test, or an interior point reached by a sub-threshold
@@ -204,8 +219,8 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     # step alone certifies nothing: near a data point the reweighted map
     # stalls while the resultant is still large.
     resultant_bound = 5.0 * opts.tolerance * n
-    # The map approaches an optimal data point only sublinearly and never
-    # reaches it exactly, so nearby vertices are tested directly: a passing
+    # The steps approach an optimal data point only sublinearly and never
+    # reach it exactly, so nearby vertices are tested directly: a passing
     # test identifies the minimizer (unique for non-collinear data) and the
     # iterate snaps onto it. A failed vertex is only retested once the
     # iterate has halved its distance to it, bounding the extra passes.
@@ -220,8 +235,10 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     iterations = 0
     small_step = True  # allows certified convergence at the initial point
     for _ in range(opts.max_iterations):
-        diffs = X - y
-        r = row_norms(diffs)
+        if r is None:  # the iterate was reached by a Weiszfeld step
+            diffs, r, objective = _radii(X, y)
+        if history is not None:
+            history.append(objective)
         nearest = int(r.argmin())
         rmin = float(r[nearest])
         if rmin > 0.0:  # all radii positive; argmin returns a NaN if any
@@ -256,21 +273,43 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
                 break
             shrink = 1.0
 
-        step = (shrink / float(w.sum())) * resultant
+        w_sum = float(w.sum())
+        step = (shrink / w_sum) * resultant
+        trial = None
+        if eta == 0:
+            # The Newton step H^-1 R is (I - V^T V)^-1 times the Weiszfeld
+            # step R / sum w, where the rows v_i = u_i sqrt(w_i / sum w)
+            # have norm at most 1, so nothing overflows at tiny radii.
+            v = diffs * (w * np.sqrt(w / w_sum))[:, None]
+            try:
+                newton = np.linalg.solve(identity - v.T @ v, step)
+            except np.linalg.LinAlgError:
+                newton = None
+            if newton is not None and np.isfinite(newton).all():
+                trial = _radii(X, y + newton)  # the next iterate's radii
+                if trial[2] <= objective:
+                    step = newton
+                else:
+                    trial = None
         y_next = y + step
         if not (y_next != y).any():
-            # cannot move at floating-point resolution; stop uncertified
+            # cannot move at floating-point resolution: a zero step is
+            # sub-threshold, so a small resultant certifies y
+            converged = eta == 0 and norm_res <= resultant_bound
             break
         y = y_next
         iterations += 1
-        if history is not None:
-            history.append(l1_objective(X, y))
+        r = None
+        if trial is not None:
+            diffs, r, objective = trial
         step_norm = math.sqrt(float(step @ step))
         small_step = step_norm <= threshold
         stalled_steps = stalled_steps + 1 if step_norm <= stall_floor else 0
         if stalled_steps >= 2:
             break
 
+    if history is not None and len(history) == iterations:  # ended by a step
+        history.append(objective if r is not None else l1_objective(X, y))
     return LocationResult(
         estimate=y,
         method="spatial_median",

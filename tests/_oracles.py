@@ -1,7 +1,7 @@
 """Independent oracles and helpers shared by the test modules.
 
-The brute-force median here must stay independent of the Weiszfeld path it
-checks: coarse grid scan over the data's bounding box followed by
+The brute-force median here must stay independent of the Newton/Weiszfeld
+path it checks: coarse grid scan over the data's bounding box followed by
 Nelder-Mead refinement of the raw objective.
 """
 
@@ -39,3 +39,17 @@ def brute_force_spatial_median(X, grid_points=80):
 def random_orthogonal(rng, p):
     Q, R = np.linalg.qr(rng.standard_normal((p, p)))
     return Q * np.sign(np.diag(R))
+
+
+def signed_zero_corpus():
+    """Samples whose componentwise median (the initial iterate) is a signed
+    zero, so any change in how the median is formed shows in the bytes."""
+    mz = -0.0
+    return [
+        np.array([[mz, 1.0], [0.0, -1.0], [1.0, mz], [-1.0, 0.0]]),
+        np.array([[mz, mz], [mz, 2.0], [3.0, mz]]),
+        np.array([[-1.0, 2.0], [1.0, -2.0], [mz, 0.5], [0.0, -0.5], [0.25, mz]]),
+        np.array([[mz, mz, mz], [1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]]),
+        np.array([[-2.0, mz], [2.0, mz], [mz, 3.0], [mz, -3.0]]),
+        np.array([[mz, 0.0], [0.0, mz]]),
+    ]

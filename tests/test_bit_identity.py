@@ -14,8 +14,9 @@ The digests hold for the numpy / BLAS build they were recorded with (numpy
 differently. They are independent of the BLAS thread count: experiments
 run their replications at one BLAS thread, and every other input here is
 below OpenBLAS's threading cut-offs (n <= 1000 at p = 2, so a gemv of
-n * p < 9216 and a dot of n <= 10000); ``OPENBLAS_NUM_THREADS=1`` and the
-host's default give the same bytes.
+n * p < 9216, a dot of n <= 10000 and the Newton step's p x p product of
+n rows); ``OPENBLAS_NUM_THREADS=1`` and the host's default give the same
+bytes.
 
 When the qq reference became exact (the limit variance by quadrature, no
 longer a Monte Carlo estimate, and no ``ref_draws`` config key), the qq CSV
@@ -23,7 +24,17 @@ and metadata/summary digests and the table and sweep metadata digests were
 re-recorded once: the qq reference column, sigma^2 and KS distances moved,
 and every metadata ``config`` block lost its ``ref_draws`` line (hence a new
 ``config_digest``). The digest of the qq CSV's empirical column alone was
-recorded before that change and still holds.
+recorded before that change and held through it.
+
+When the spatial median moved to Newton steps with a Weiszfeld safeguard,
+every median estimate moved within the solver tolerance, so the digests
+that read a median were re-recorded once: the seven spatial-median corpus
+digests, the table, sweep and qq CSVs, the qq empirical column, the
+median-location ``estimate`` JSON, the ``asymptotics`` JSON at the median,
+the two ``estimate`` outputs at the default (median) location and the
+metadata of all three experiments (with the sweep summary). The digests of
+each golden CSV without its median rows were recorded before that change
+and still hold, as do the mean/fixed-location and oracle digests.
 
 Running this file as a script prints the digests of the code on the path,
 which is how they are re-recorded (on the previous commit, same machine)
@@ -54,20 +65,7 @@ from signcov import (
     write_result_csv,
 )
 from signcov.cli import main
-
-
-def _signed_zero_corpus():
-    """Samples whose componentwise median (the initial iterate) is a signed
-    zero, so any change in how the median is formed shows in the bytes."""
-    mz = -0.0
-    return [
-        np.array([[mz, 1.0], [0.0, -1.0], [1.0, mz], [-1.0, 0.0]]),
-        np.array([[mz, mz], [mz, 2.0], [3.0, mz]]),
-        np.array([[-1.0, 2.0], [1.0, -2.0], [mz, 0.5], [0.0, -0.5], [0.25, mz]]),
-        np.array([[mz, mz, mz], [1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]]),
-        np.array([[-2.0, mz], [2.0, mz], [mz, 3.0], [mz, -3.0]]),
-        np.array([[mz, 0.0], [0.0, mz]]),
-    ]
+from _oracles import signed_zero_corpus
 
 
 def median_corpus() -> dict:
@@ -95,7 +93,7 @@ def median_corpus() -> dict:
         "student_t_p3": student,
         "singularity_p2": singular,
         "rounded_duplicates": duplicates,
-        "signed_zero_init": _signed_zero_corpus(),
+        "signed_zero_init": signed_zero_corpus(),
     }
 
 
@@ -131,19 +129,19 @@ def _case_id(group, opts):
 
 MEDIAN_DIGESTS = {
     "gaussian_p10[componentwise_median,1e-10,1000]":
-        "3927d2891ce0c1ba33817b2817e65e9b8afb0316241a167cb61b7c2a53d3fa88",
+        "b6d3e875bbb270dc3c357beb98c8e086b6f15776a8e4cc9055764d279e125082",
     "student_t_p3[componentwise_median,1e-10,1000]":
-        "992e352a5f19d22f0ec51e15b1af556f006e5e2204ea879a25b1106e15c94403",
+        "f5bbc14cd45dbbae39726df20073ca8a72fe560d78a6220d304a9a87d87e63d1",
     "singularity_p2[componentwise_median,1e-10,1000]":
-        "0936bf0f4a0607f00e9979675a3c913f8c12d67fb6178cb052fdf111001fc04b",
+        "acc17c0e9d3e28432f70fbfb06166ca3113bbb665b3d4779698d49b176520aed",
     "rounded_duplicates[componentwise_median,1e-10,1000]":
-        "8af7d399eae40d3c19ca3c7b98236256f9e936cdc8bac44bf2db07ab7676fd59",
+        "9884d1629628b28f6f9600f8c1fc54872ebd5243235c047ba19d19a4edd4fbe5",
     "signed_zero_init[componentwise_median,1e-10,1000]":
-        "a0d7f92bd6668a443405239ff568ab163f34bc58a394bf392ff8ebec3efff5cf",
+        "bb35cf2e5864d7906966474b46f05fc93a38cde46c69c5dd5801e420169a9a88",
     "gaussian_p10[mean,1e-06,1000]":
-        "2fb96621907acf816b19ddf277bbd944b4f35d7cad677fb49bf794b91ae85c28",
+        "95a9b2b7e4c1477e19a6677e64cb325c58cbbee1d75f1d6a461077e750e0c58a",
     "student_t_p3[componentwise_median,1e-10,3]":
-        "601d653d840e49a1e70a51b02ab7a4bd2b03c3ac7a5539f760160b4df7252bd6",
+        "8cf632026f233ebb287b2ea1568adf0fa096e51a51b24a1197c0c9c217335615",
 }
 
 
@@ -193,11 +191,11 @@ def csv_digest(config, path) -> str:
 
 CSV_DIGESTS = {
     "table":
-        "0a0f2eec1c03549d4d1d8bb05707f0f4f68cb09f55e0411acc7c5d84265537aa",
+        "e8a6f3b8393133217f01ffeeea65db99047fccc717ccf03543bb38586335ee70",
     "sweep":
-        "d82ca717c6d08f6f91f64f7442d3132a494382f4f7c39190ad7979d699846c20",
+        "9215bb5d191bfbd16f233c13da99eeb9acb312bc93c934c7637732167e73471b",
     "qq":
-        "1ed72759e53e15cb721071987563b4e034f0621e680928025f0ef1ccdc0e564f",
+        "b8233386ce603c92e6444c9a9cdac2c0cb7a12b5985e7a45941228fe30c3b665",
 }
 
 
@@ -205,6 +203,37 @@ CSV_DIGESTS = {
 def test_experiment_csv_bits_pinned(tmp_path, statistic):
     config = experiment_configs()[statistic]
     assert csv_digest(config, tmp_path / "out.csv") == CSV_DIGESTS[statistic]
+
+
+def median_free_csv_digest(config, path) -> str:
+    """Digest of a golden CSV restricted to its header and the rows whose
+    method is not median: the known- and mean-location rows, which no
+    change to the spatial-median solver may move."""
+    write_result_csv(run_experiment(config, workers=1), path)
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    column = lines[0].rstrip("\r\n").split(",").index("method")
+    kept = [lines[0]] + [
+        line for line in lines[1:] if line.split(",")[column] != "median"
+    ]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+MEDIAN_FREE_CSV_DIGESTS = {
+    "table":
+        "559312a7071230fb1ac0ddae25150e70607f1df56592014152cd39b55a0e90f2",
+    "sweep":
+        "5f0e0afbf772783306ea870a5b2fcc6533e8c975f67b7e17ed7543c947178de7",
+    "qq":
+        "b6c7a54050c8c49aa868d4162c8650b5d82a77ca5247b0bef32a198d28a91996",
+}
+
+
+@pytest.mark.parametrize("statistic", ["table", "sweep", "qq"])
+def test_experiment_csv_median_free_rows_bits_pinned(tmp_path, statistic):
+    config = experiment_configs()[statistic]
+    assert (median_free_csv_digest(config, tmp_path / "out.csv")
+            == MEDIAN_FREE_CSV_DIGESTS[statistic])
 
 
 def qq_empirical_digest(path) -> str:
@@ -217,7 +246,7 @@ def qq_empirical_digest(path) -> str:
 
 
 QQ_EMPIRICAL_DIGEST = (
-    "73774a50b79ca8d090b7c0cae7713ef71b3519df0d980573146397c5e37ece89"
+    "ea2948ab7666005778c42219e1a78b82c0e963c0b1bea1e802c73f708917ce05"
 )
 
 
@@ -260,7 +289,7 @@ ESTIMATE_DIGESTS = {
     "mean":
         "40038fec22360d572739f87669d92ab39dc4cdfb398eacaf6a3e146e2ee162d9",
     "median":
-        "db9f4a5bc388969ceaf9f0b510092bb3ba550a6a65f681886c98531e814fa6ee",
+        "d8a3919f82bd4bbe5c3142e26567d59a10ca44a17ff3a1394bd637576ee97d6e",
 }
 
 
@@ -286,11 +315,11 @@ FILE_DIGESTS = {
     "asymptotics_mean":
         "68b42cc624a7bb150538be32ddb6e6613a75b2866342e7cb5dedd2e9b47088dd",
     "asymptotics_median":
-        "03071e250822cb7ee5f152a6084b3bdb9791436dac32a729c6b06e9e5e8ee61e",
+        "7c792fb4093cc8d152f1deb73ddf2108f1fce1ade8eb68d80cedcf33f29e2334",
     "estimate_star_symmetrized_asymptotics":
-        "46730dbab5b3b61bfa9e8eaba38bbe5e6dad7f01bea708ccfbfce41c865f8267",
+        "c3e4ebad01f3de26c2a1f63638b22474fa9cd4da6c21eec7b3f01c495953399e",
     "estimate_symmetrized_csv":
-        "55d9e373070caa688225b107329fa15e2c89cc219554f44afd788b856603195d",
+        "8e580eb945938909f28b6a059ca5e6662cfd8e54587503d2c5a0c1bbf9ecf63b",
 }
 
 
@@ -357,15 +386,15 @@ def experiment_cli_digests(workdir, statistic) -> tuple[str, str]:
 # (metadata, summary) per statistic
 EXPERIMENT_CLI_DIGESTS = {
     "qq": (
-        "af046d32942c4cf10e6b3efc0c11f477039e85793ebb9d176657634e73cf3d3e",
+        "1ad6ec3e1089929cd74a37fa9885fb82ea1679ccb1e1e33a2e73d0899d3fe580",
         "7509ad82a4315a288bc464f9e81e2a7a3ba9f1fe62a46df0d9a4879b16c0ec8a",
     ),
     "sweep": (
-        "7af6bf94ee69baaeb62a5a58b1d8ae6aab7a2dc674c3f63a0d5f0a35bf8c3c1e",
-        "5a19174467130ce5d20e45e01b2fa42378915c1048fc1614de2572253dfc3aaf",
+        "f36e534434b07bfb6a8c5dd640c219796737b2e7bd9bd8cc008cdc75e4aba3cd",
+        "d5990c38854ee8e68a49da508099abe15463dd9bb587baa634ceb285bf1be6a1",
     ),
     "table": (
-        "0d2a9000a1367452d5fa9da1b3ad130ace28e2b7f3361330ed3135c4a9e36966",
+        "7410c51a9e3bbc98873174ad2077a99f550fa13e52fdafa64c0946e83a5d250c",
         "a862b18969d3b38912c72c2bbfa44cb153956cecf3eb2659f7cb0142f0ff0048",
     ),
 }
@@ -390,6 +419,10 @@ if __name__ == "__main__":
         tmp = pathlib.Path(tmp)
         print(json.dumps(
             {s: csv_digest(c, tmp / f"{s}.csv")
+             for s, c in experiment_configs().items()}, indent=4
+        ))
+        print(json.dumps(
+            {s: median_free_csv_digest(c, tmp / f"{s}_median_free.csv")
              for s, c in experiment_configs().items()}, indent=4
         ))
         print(json.dumps(

@@ -1,17 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from signcov import (
     InvalidInputError,
     MedianOptions,
+    SeededStream,
+    gaussian_model,
     l1_objective,
     locate,
+    sample,
     sample_mean,
+    singularity_model,
     spatial_median,
     spatial_signs,
     sscm_plugin,
 )
-from _oracles import brute_force_spatial_median, random_orthogonal
+from _oracles import (
+    brute_force_spatial_median,
+    random_orthogonal,
+    signed_zero_corpus,
+)
 
 RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 RIGHT_TRIANGLE_MEDIAN = (3.0 - np.sqrt(3.0)) / 6.0  # stationarity on the symmetry axis
@@ -258,3 +268,83 @@ def test_options_validation():
 def test_median_empty_errors():
     with pytest.raises(InvalidInputError):
         spatial_median(np.empty((0, 2)))
+
+
+# certified medians per (gamma, n) cell of p=2 singularity samples drawn
+# from SeededStream(20240206, rep), rep < 200, under the plain Weiszfeld
+# iteration that the Newton steps replaced
+WEISZFELD_CERTIFIED = {(0.05, 10): 90, (0.05, 100): 12, (0.45, 10): 200,
+                       (0.45, 100): 200}
+
+
+@pytest.mark.parametrize("gamma,n", sorted(WEISZFELD_CERTIFIED))
+def test_newton_steps_certify_no_fewer_medians(gamma, n):
+    opts = MedianOptions()
+    results = [
+        spatial_median(sample(singularity_model(gamma, 2), n,
+                              SeededStream(20240206, rep)), opts)
+        for rep in range(200)
+    ]
+    assert sum(r.converged for r in results) >= WEISZFELD_CERTIFIED[gamma, n]
+    assert max(r.iterations for r in results) < opts.max_iterations
+
+
+def test_newton_steps_cut_iterations_gaussian_p10():
+    # the plain Weiszfeld iteration averaged 13.4 iterations on this cell
+    model = gaussian_model(np.zeros(10), np.eye(10))
+    iterations = [
+        spatial_median(sample(model, 30, SeededStream(20240207, rep))).iterations
+        for rep in range(50)
+    ]
+    assert np.mean(iterations) <= 6.0
+
+
+def test_zero_step_at_small_resultant_certifies():
+    # the iterate reaches the minimizer to the last bit, so the next step
+    # cannot move it; its resultant is within the bound, which certifies it
+    X = sample(singularity_model(0.45, 2), 10, SeededStream(20240206, 73))
+    res = spatial_median(X)
+    assert res.converged and not res.anchored
+    u = spatial_signs(X - res.estimate)
+    assert np.linalg.norm(u.sum(axis=0)) <= 5.0 * MedianOptions().tolerance * 10
+
+
+def _safeguard_corpus():
+    rng = np.random.default_rng(4242)
+    t = rng.standard_exponential(9)
+    duplicates = np.round(rng.standard_normal((12, 3)), 1)
+    duplicates[4:9] = duplicates[0]
+    return [
+        np.column_stack([t, -3.0 * t + 1.0]),  # collinear
+        np.outer(t, [1.0, 2.0, -0.5]),  # collinear through the origin
+        # on an axis-parallel line: from the mean, H is exactly singular
+        np.column_stack([[0.0, 1.0, 3.0, 7.0, 8.0], np.full(5, 2.0)]),
+        np.array([[0.5], [1.0], [4.0], [9.0], [10.0]]),  # p = 1
+        rng.standard_normal((2, 3)),  # n = 2
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # n = 2, one point twice
+        rng.standard_normal((5, 10)),  # p > n
+        duplicates,  # exact duplicate rows
+        *signed_zero_corpus(),
+    ]
+
+
+@pytest.mark.parametrize("initialization", ["componentwise_median", "mean"])
+def test_safeguard_keeps_iterates_finite_without_warnings(initialization):
+    opts = MedianOptions(initialization=initialization, track_objective=True)
+    for X in _safeguard_corpus():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = spatial_median(X, opts)
+        h = res.objective_history
+        assert np.all(np.isfinite(res.estimate)) and np.all(np.isfinite(h))
+        assert len(h) == res.iterations + 1
+        assert np.all(np.diff(h) <= 1e-12 * h[0])
+        # each entry is the objective at that iterate, which a run capped
+        # at k iterations returns as its estimate
+        initial = X.mean(axis=0) if initialization == "mean" else np.median(X, axis=0)
+        assert h[0] == l1_objective(X, initial)
+        for k in range(1, res.iterations + 1):
+            capped = spatial_median(X, MedianOptions(
+                initialization=initialization, max_iterations=k))
+            assert capped.iterations == k
+            assert h[k] == l1_objective(X, capped.estimate)
