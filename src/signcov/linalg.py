@@ -24,7 +24,7 @@ def require_finite(a, name: str = "input") -> np.ndarray:
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of X.
+    """Euclidean norms of the rows of X, or of each slice of a block (B, n, p).
 
     Rows whose plain sum of squares under- or overflows (entries below
     ~1e-154 or above ~1e154) are recomputed with max-entry rescaling, so
@@ -33,7 +33,7 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     magnitudes routinely, hence the care.
     """
     X = np.asarray(X, dtype=float)
-    d2 = np.einsum("ij,ij->i", X, X)
+    d2 = np.einsum("...j,...j->...", X, X)
     r = np.sqrt(d2)
     # outside this range the plain sum of squares is zero, subnormal
     # (reduced precision), or at overflow risk; two reductions settle the
@@ -62,11 +62,12 @@ def spatial_sign(x) -> np.ndarray:
 
 
 def spatial_signs(X: np.ndarray) -> np.ndarray:
-    """Row-wise spatial signs of an n x p matrix; zero rows stay zero."""
+    """Row-wise spatial signs of an n x p matrix, or of each slice of a
+    (B, n, p) block; zero rows stay zero."""
     X = np.asarray(X, dtype=float)
     r = row_norms(X)
     safe = np.where(r > 0.0, r, 1.0)
-    return X / safe[:, None]
+    return X / safe[..., None]
 
 
 def sign_outer(x) -> np.ndarray:

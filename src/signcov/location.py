@@ -12,6 +12,13 @@ once the test passes. The certificate is the sign-resultant test either way.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
 
+The iteration runs on blocks of samples (B, n, p) (``_spatial_medians``;
+``spatial_median`` is a block of one), each slice taking bit for bit the
+steps it takes alone: elementwise operations and reductions along a row or
+slice keep their order, and ``np.matmul`` (gemv, syrk), ``np.vecdot`` and
+the gufunc ``np.linalg.solve`` (gesv) run the one-sample kernel per slice,
+where an ``np.einsum`` sum across rows such as ``"bi,bij->bj"`` would not.
+
 A result's anchored flag, objective and degenerate_geometry are computed
 on first read, from the sample the call received: the Monte Carlo harness
 reads none of them, and the geometry test costs an SVD of the whole sample.
@@ -20,6 +27,7 @@ reads none of them, and the geometry test costs an SVD of the whole sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,7 +49,9 @@ class MedianOptions:
     """Stopping and initialization knobs for the spatial-median iteration.
 
     tolerance is a step-norm threshold relative to the data scale (the
-    largest distance from the initial iterate to an observation).
+    largest distance from the initial iterate to an observation) and must
+    stay below 0.2, where the certificate |sum of signs| <= 5 * tolerance * n
+    would pass at every point.
     """
 
     tolerance: float = 1e-10
@@ -50,8 +60,11 @@ class MedianOptions:
     track_objective: bool = False
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise InvalidInputError("tolerance must be positive")
+        if not 0.0 < self.tolerance < 0.2:
+            raise InvalidInputError("tolerance must be positive and below 0.2, "
+                                    "from where every point is certified")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise InvalidInputError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
         if self.initialization not in INITIALIZATIONS:
@@ -149,11 +162,21 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     return bool(np.sqrt(resultant @ resultant) <= eta)
 
 
-def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, float]:
-    """Differences X_i - y, their norms and the objective (their sum)."""
-    diffs = X - y
+def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Differences X_i - y, their norms and sum per slice of X (k, n, p)."""
+    diffs = X - y[:, None]
     r = row_norms(diffs)
-    return diffs, r, float(r.sum())
+    return diffs, r, r.sum(axis=1)
+
+
+def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A_j^-1 b_j per slice, NaN where A_j is singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole batch: go slice by slice
+        if len(b) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve_each(A[j:j + 1], b[j:j + 1]) for j in range(len(b))])
 
 
 def sample_mean(X) -> LocationResult:
@@ -169,48 +192,38 @@ def sample_mean(X) -> LocationResult:
 
 
 def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
-    """Minimizer of sum_i |X_i - mu| via safeguarded Newton iteration.
+    """Minimizer of sum_i |X_i - mu| over the rows of X (n, p), by
+    safeguarded Newton iteration under opts (default MedianOptions()).
 
     An interior step is H^-1 R (R = sum_i u_i the sign resultant, H =
     sum_i (I - u_i u_i^T) / r_i the Hessian) unless that raises the
     objective, H is singular or the step is not finite; then it is the
     Weiszfeld step R / sum_i (1 / r_i).
 
-    Parameters
-    ----------
-    X : (n, p) array
-        Observations, one per row.
-    opts : MedianOptions, optional
-        Stopping rule, iteration cap, initialization.
-
-    Returns
-    -------
-    LocationResult
-        converged certifies first-order optimality: an anchored data point
-        passing the multiplicity test, or an interior point with a small
-        sign resultant reached by a sub-threshold (or zero) step. When the
-        iteration budget runs out, or extreme mass concentration pins the
-        iterate at an uncertifiable point, the last iterate is returned with
-        converged=False.
+    The result's converged flag certifies first-order optimality: an
+    anchored data point passing the multiplicity test, or an interior point
+    with a small sign resultant reached by a sub-threshold (or zero) step.
+    When the iteration budget runs out, or extreme mass concentration pins
+    the iterate at an uncertifiable point, the last iterate is returned with
+    converged=False.
     """
     X = _as_sample(X)
-    if opts is None:
-        opts = MedianOptions()
-    n, p = X.shape
+    y, its, ok, hist = _spatial_medians(X[None], opts or MedianOptions())
+    return LocationResult(y[0], "spatial_median", int(its[0]), bool(ok[0]), X,
+                          None if hist is None else hist[0])
 
-    if opts.initialization == "mean":
-        y = X.mean(axis=0)
-    else:
-        y = np.median(X, axis=0)
 
+def _spatial_medians(X: np.ndarray, opts: MedianOptions):
+    """spatial_median on each slice of a block X (B, n, p): estimates (B, p),
+    iteration counts, converged flags and, with opts.track_objective, the
+    objective histories (else None). A slice leaves the arrays once it stops;
+    the snap test and a step off a data point run slice by slice."""
+    B, n, p = X.shape
+    y = X.mean(axis=1) if opts.initialization == "mean" else np.median(X, axis=1)
     diffs, r, objective = _radii(X, y)
-    scale = float(r.max())
-    if scale == 0.0:
-        scale = 1.0
+    scale = r.max(axis=1)
+    scale[scale == 0.0] = 1.0
     threshold = opts.tolerance * scale
-
-    history = [] if opts.track_objective else None
-    identity = np.eye(p)
 
     # Converged means certified: either an anchored data point passing the
     # multiplicity test, or an interior point reached by a sub-threshold
@@ -225,99 +238,125 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     # iterate snaps onto it. A failed vertex is only retested once the
     # iterate has halved its distance to it, bounding the extra passes.
     snap_gate = 0.01 * scale
-    tested_radius: dict[int, float] = {}
+    tested_radius: dict[tuple[int, int], float] = {}
     # steps this far below the stopping resolution cannot be refining a
     # healthy iteration; two in a row without certification means the
     # iterate is pinned by extreme mass concentration
     stall_floor = 1e-3 * threshold
-    stalled_steps = 0
-    converged = False
-    iterations = 0
-    small_step = True  # allows certified convergence at the initial point
+    stalled, its = np.zeros((2, B), dtype=int)
+    small_step = np.ones(B, dtype=bool)  # certified convergence at the start
+    stale = np.zeros(B, dtype=bool)  # reached by a Weiszfeld step: no radii yet
+    estimates, iterations, converged = np.empty((B, p)), np.zeros(B, int), np.zeros(B, bool)
+    histories = [[] for _ in range(B)] if opts.track_objective else None
+    ids = np.arange(B)  # row j of X, y and each per-slice array is slice ids[j]
+    identity = np.eye(p)
+
+    def finish(done, ok):  # record the slices that stop
+        o = ids[done]
+        estimates[o], iterations[o], converged[o] = y[done], its[done], ok[done]
+        for j in np.flatnonzero(done) if histories is not None else ():
+            if len(histories[ids[j]]) == its[j]:  # ended by a step
+                histories[ids[j]].append(
+                    l1_objective(X[j], y[j]) if stale[j] else objective[j])
+
     for _ in range(opts.max_iterations):
-        if r is None:  # the iterate was reached by a Weiszfeld step
+        k = len(ids)
+        if stale.all():
             diffs, r, objective = _radii(X, y)
-        if history is not None:
-            history.append(objective)
-        nearest = int(r.argmin())
-        rmin = float(r[nearest])
-        if rmin > 0.0:  # all radii positive; argmin returns a NaN if any
-            eta = 0
-            if rmin <= snap_gate and rmin < 0.5 * tested_radius.get(
-                nearest, math.inf
-            ):
-                if _anchored_optimal_at(X, X[nearest]):
-                    y = X[nearest].copy()
-                    converged = True
-                    break
-                tested_radius[nearest] = rmin
-            w = 1.0 / r
-            resultant = w @ diffs  # = sum of spatial signs
-        else:
-            # zero radius <=> exact coordinate coincidence with a data point
-            active = r > 0.0
-            eta = int(n - np.count_nonzero(active))
-            w = 1.0 / r[active]
-            resultant = w @ diffs[active] if w.size else np.zeros(p)
-        norm_res = math.sqrt(float(resultant @ resultant))
+        elif stale.any():
+            diffs[stale], r[stale], objective[stale] = _radii(X[stale], y[stale])
+        for i, value in zip(ids, objective.tolist()) if histories is not None else ():
+            histories[i].append(value)
+        # the slice stops this pass / is certified / would be by a zero step
+        done, ok, zero_step_ok = np.zeros((3, k), dtype=bool)
+        step, sel = np.zeros((k, p)), slice(None)  # sel: slices taking an interior step
+        rmin = r.min(axis=1)  # NaN if any radius is
+        near = ~(rmin > snap_gate)
+        if near.any():  # an iterate is near or on a data point
+            nearest = r.argmin(axis=1)
+            for j in np.flatnonzero(near):
+                if rmin[j] > 0.0:  # all radii positive
+                    key = (ids[j], nearest[j])
+                    if rmin[j] < 0.5 * tested_radius.get(key, math.inf):
+                        if _anchored_optimal_at(X[j], X[j, nearest[j]]):
+                            y[j] = X[j, nearest[j]]
+                            done[j] = ok[j] = True
+                        else:
+                            tested_radius[key] = rmin[j]
+                    continue
+                # zero radius <=> exact coordinate coincidence with a data point
+                active = r[j] > 0.0
+                eta = int(n - np.count_nonzero(active))
+                w = 1.0 / r[j, active]
+                resultant = w @ diffs[j, active] if w.size else np.zeros(p)
+                norm_res = math.sqrt(float(resultant @ resultant))
+                if norm_res <= eta:  # y is a data point passing the optimality test
+                    done[j] = ok[j] = True
+                else:
+                    step[j] = ((1.0 - eta / norm_res) / float(w.sum())) * resultant
+            interior = (rmin > 0.0) & ~done
+            if not interior.all():  # else keep the arrays ungathered
+                sel = np.flatnonzero(interior)
 
-        if eta > 0:
-            if norm_res <= eta:
-                # y sits on a data point and passes the optimality test
-                converged = True
-                break
-            shrink = 1.0 - eta / norm_res
-        else:
-            if small_step and norm_res <= resultant_bound:
-                converged = True
-                break
-            shrink = 1.0
-
-        w_sum = float(w.sum())
-        step = (shrink / w_sum) * resultant
-        trial = None
-        if eta == 0:
+        w = 1.0 / r[sel]
+        resultant = np.matmul(w[:, None], diffs[sel])[:, 0]  # sum of signs
+        zero_step_ok[sel] = np.sqrt(np.vecdot(resultant, resultant)) <= resultant_bound
+        certified = small_step[sel] & zero_step_ok[sel]
+        if certified.any():
+            sel = np.arange(k)[sel]
+            done[sel[certified]] = ok[sel[certified]] = True
+            sel, w, resultant = sel[~certified], w[~certified], resultant[~certified]
+        stale = np.ones(k, dtype=bool)
+        if len(w):
+            w_sum = w.sum(axis=1)
+            weiszfeld = (1.0 / w_sum)[:, None] * resultant
             # The Newton step H^-1 R is (I - V^T V)^-1 times the Weiszfeld
             # step R / sum w, where the rows v_i = u_i sqrt(w_i / sum w)
             # have norm at most 1, so nothing overflows at tiny radii.
-            v = diffs * (w * np.sqrt(w / w_sum))[:, None]
-            try:
-                newton = np.linalg.solve(identity - v.T @ v, step)
-            except np.linalg.LinAlgError:
-                newton = None
-            if newton is not None and np.isfinite(newton).all():
-                trial = _radii(X, y + newton)  # the next iterate's radii
-                if trial[2] <= objective:
-                    step = newton
-                else:
-                    trial = None
-        y_next = y + step
-        if not (y_next != y).any():
-            # cannot move at floating-point resolution: a zero step is
-            # sub-threshold, so a small resultant certifies y
-            converged = eta == 0 and norm_res <= resultant_bound
-            break
-        y = y_next
-        iterations += 1
-        r = None
-        if trial is not None:
-            diffs, r, objective = trial
-        step_norm = math.sqrt(float(step @ step))
-        small_step = step_norm <= threshold
-        stalled_steps = stalled_steps + 1 if step_norm <= stall_floor else 0
-        if stalled_steps >= 2:
-            break
+            v = diffs[sel] * (w * np.sqrt(w / w_sum[:, None]))[:, :, None]
+            newton = _solve_each(identity - np.matmul(v.transpose(0, 2, 1), v), weiszfeld)
+            finite = np.isfinite(newton).all(axis=1)
+            if not finite.all():  # these take the Weiszfeld step
+                sel = np.arange(k)[sel]
+                step[sel[~finite]] = weiszfeld[~finite]
+                sel, weiszfeld, newton = sel[finite], weiszfeld[finite], newton[finite]
+            trial = _radii(X[sel], y[sel] + newton)  # the next iterate's radii
+            accepted = trial[2] <= objective[sel]
+            step[sel] = np.where(accepted[:, None], newton, weiszfeld)
+            if isinstance(sel, slice) and accepted.all():
+                (diffs, r, objective), stale = trial, np.zeros(k, dtype=bool)
+            else:
+                tried = np.arange(k)[sel][accepted]
+                diffs[tried], r[tried], objective[tried] = (a[accepted] for a in trial)
+                stale[tried] = False
 
-    if history is not None and len(history) == iterations:  # ended by a step
-        history.append(objective if r is not None else l1_objective(X, y))
-    return LocationResult(
-        estimate=y,
-        method="spatial_median",
-        iterations=iterations,
-        converged=converged,
-        sample=X,
-        objective_history=None if history is None else np.asarray(history),
-    )
+        y_next = y + step
+        moved = (y_next != y).any(axis=1)  # a stopping slice has a zero step
+        step_norm = np.sqrt(np.vecdot(step, step))
+        small_step = step_norm <= threshold
+        stalled = (stalled + 1) * (step_norm <= stall_floor)
+        if moved.all():
+            y, its = y_next, its + 1
+        else:
+            pinned = ~(moved | done)  # cannot move at floating-point resolution
+            ok |= pinned & zero_step_ok
+            done |= pinned
+            y, its = np.where(moved[:, None], y_next, y), its + moved
+        done |= stalled >= 2
+        if done.any():
+            finish(done, ok)
+            if done.all():
+                break
+            keep = ~done  # drop the finished slices
+            ids, X, y, diffs, r, objective, stale, threshold, snap_gate, stall_floor, \
+                small_step, stalled, its = (
+                    a[keep] for a in (ids, X, y, diffs, r, objective, stale, threshold,
+                                      snap_gate, stall_floor, small_step, stalled, its))
+    else:
+        finish(np.ones(len(ids), dtype=bool), np.zeros(len(ids), dtype=bool))
+
+    return (estimates, iterations, converged,
+            None if histories is None else [np.asarray(h) for h in histories])
 
 
 def locate(

@@ -147,8 +147,12 @@ def frobenius_error_gram(X, t) -> float:
     p >> n (cost O(n^2 p) instead of O(n p^2)).
     """
     X, t = _sample_at(X, t)
-    n, p = X.shape
-    U = spatial_signs(X - t)
-    G = U @ U.T
-    trace_s = float(np.trace(G)) / n  # = n*/n up to rounding of unit norms
-    return float(np.sum(G * G)) / (n * n) - 2.0 * trace_s / p + 1.0 / p
+    return float(_gram_error(spatial_signs(X - t)[None])[0])
+
+
+def _gram_error(U: np.ndarray) -> np.ndarray:
+    """frobenius_error_gram per slice of a block of spatial signs U (B, n, p)."""
+    B, n, p = U.shape
+    G = U @ U.transpose(0, 2, 1)
+    trace_s = np.trace(G, axis1=1, axis2=2) / n  # = n*/n up to rounding of unit norms
+    return (G * G).reshape(B, -1).sum(axis=1) / (n * n) - 2.0 * trace_s / p + 1.0 / p

@@ -16,6 +16,13 @@ therefore bitwise identical for any worker count, and aggregation happens in
 replication order. The ``qq`` reference quantities (population element,
 limit variance) are exact functions of the model's shape matrix
 (``models.sign_moments``) and draw no random numbers.
+
+Replications run in blocks of B = min(64, max(1, 2**15 // (max(n, p) * p)))
+starting at multiples of B within a cell (64 at n = 30, p = 10; 1 at n =
+20000, p = 2), which keeps a block's samples (B, n, p) and Newton systems
+(B, p, p) within 2**15 elements unless one alone is larger. A pool task is a
+run of whole blocks, so ``--workers`` never moves a block boundary, and each
+slice gets the bits it gets alone (see the ``location`` module docstring).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
 from .linalg import spatial_signs
-from .location import MedianOptions, locate
+from .location import MedianOptions, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
@@ -48,7 +55,7 @@ from .models import (
     sign_moments,
     singularity_model,
 )
-from .scatter import frobenius_error_gram
+from .scatter import _gram_error
 
 METHODS = ("known", "mean", "median")
 
@@ -162,6 +169,8 @@ class ExperimentConfig:
 
         def build(d):
             reject_unknown_keys(d, _CONFIG_KEYS | _LEGACY_CONFIG_KEYS, "config")
+            count = d.get("median_max_iterations", 1000)  # JSON 1e3 is a count, 2.5 is not
+            whole = isinstance(count, float) and count.is_integer()
             return cls(
                 statistic=d["statistic"],
                 model=EllipticalModel.from_json_dict(d["model"]),
@@ -173,7 +182,7 @@ class ExperimentConfig:
                 gamma_grid=tuple(d.get("gamma_grid", ())),
                 element=tuple(d.get("element", (0, 1))),
                 median_tolerance=float(d.get("median_tolerance", 1e-10)),
-                median_max_iterations=int(d.get("median_max_iterations", 1000)),
+                median_max_iterations=int(count) if whole else count,
             )
 
         return from_json_object(d, "config", build)
@@ -242,38 +251,49 @@ def ks_statistic(sample_values, sigma2: float) -> float:
 # replication engine
 # ---------------------------------------------------------------------------
 
-def _spherical_error(X, t) -> float:
-    """||SSCM(t) - (1/p) I||^2, routed through the Gram identity when p > n."""
-    n, p = X.shape
+def _block_size(n: int, p: int) -> int:
+    """Replications per block of an (n, p) cell (see the module docstring)."""
+    return min(64, max(1, 2**15 // (max(n, p) * p)))
+
+
+def _table_values(c, payload, U) -> np.ndarray:
+    """n * ||SSCM - (1/p) I||^2 per slice of a block of signs U (B, n, p),
+    through the n x n Gram matrix when p > n."""
+    B, n, p = U.shape
     if p > n:
-        return frobenius_error_gram(X, t)
-    U = spatial_signs(X - t)
-    S = U.T @ U / n
-    S[np.diag_indices(p)] -= 1.0 / p
-    return float(np.sum(S * S))
+        return n * _gram_error(U)
+    S = U.transpose(0, 2, 1) @ U / n
+    S[:, range(p), range(p)] -= 1.0 / p
+    return n * (S * S).reshape(B, -1).sum(axis=1)
 
 
-def _rep_values(config, payload, stream) -> np.ndarray:
-    model = payload["model"]
-    X = sample(model, payload["n"], stream)
+def _block_values(config, payload, X) -> np.ndarray:
+    """Replication values (B, n_methods) of a block of samples (B, n, p):
+    the statistic of the block's spatial signs about each location."""
     value = STATISTICS[config.statistic].value
-    out = np.empty(len(config.location_methods))
+    out = np.empty((len(X), len(config.location_methods)))
     for k, method in enumerate(config.location_methods):
-        # "known" is the fixed location at the model's center
-        method = "fixed" if method == "known" else method
-        t = locate(X, method, config.median_options, model.mu).estimate
-        out[k] = value(config, payload, X, t)
+        if method == "known":  # the model's center
+            t = payload["model"].mu
+        elif method == "mean":
+            t = X.mean(axis=1)[:, None]
+        else:
+            t = _spatial_medians(X, config.median_options)[0][:, None]
+        out[:, k] = value(config, payload, spatial_signs(X - t))
     return out
 
 
 def _run_task(task) -> np.ndarray:
+    """Values of replications rep_lo to rep_hi - 1 of a cell, a run of
+    whole blocks; each replication samples from its own stream."""
     config, payload, cell_index, rep_lo, rep_hi = task
-    out = np.empty((rep_hi - rep_lo, len(config.location_methods)))
-    base = cell_index * config.replications
-    for k, rep in enumerate(range(rep_lo, rep_hi)):
-        stream = SeededStream(config.master_seed, base + rep)
-        out[k] = _rep_values(config, payload, stream)
-    return out
+    model, n = payload["model"], payload["n"]
+    size, base = _block_size(n, model.p), cell_index * config.replications
+    stack = np.stack if size > 1 else (lambda one: one[0][None])  # uncopied
+    return np.vstack([_block_values(config, payload, stack([
+        sample(model, n, SeededStream(config.master_seed, base + rep))
+        for rep in range(lo, min(rep_hi, lo + size))
+    ])) for lo in range(rep_lo, rep_hi, size)])
 
 
 # the C thread-count calls of OpenBLAS, plain or under scipy's symbol names
@@ -350,16 +370,16 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     assembled in replication order regardless of worker count, with one
     BLAS thread per process.
 
-    The pool never exceeds the task count or the machine's CPU count."""
+    A task is a run of whole blocks of one cell. The pool never exceeds
+    the task count or the machine's CPU count."""
     workers = min(workers, os.cpu_count() or 1)
     R = config.replications
-    chunk = max(1, math.ceil(R / (workers * 4)))
-    starts = range(0, R, chunk)
-    tasks = [
-        (config, payload, cell_index, lo, min(R, lo + chunk))
-        for cell_index, payload in enumerate(payloads)
-        for lo in starts
-    ]
+    tasks = []
+    for cell_index, payload in enumerate(payloads):
+        size = _block_size(payload["n"], payload["model"].p)
+        chunk = size * math.ceil(math.ceil(R / size) / (workers * 4))
+        tasks += [(config, payload, cell_index, lo, min(R, lo + chunk))
+                  for lo in range(0, R, chunk)]
     workers = min(workers, len(tasks))
     with _one_blas_thread():
         if workers <= 1:
@@ -368,20 +388,14 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
             with multiprocessing.Pool(
                 workers, initializer=_pin_one_blas_thread
             ) as pool:
-                chunks = pool.map(_run_task, tasks)
-    per = len(starts)
-    return [np.vstack(chunks[k * per:(k + 1) * per]) for k in range(len(payloads))]
+                chunks = pool.map(_run_task, tasks, chunksize=1)
+    return [np.vstack([c for t, c in zip(tasks, chunks) if t[2] == k])
+            for k in range(len(payloads))]
 
 
 # ---------------------------------------------------------------------------
 # experiment families and the runner
 # ---------------------------------------------------------------------------
-
-def _sign_product(X, t, i: int, j: int) -> float:
-    """n times element (i, j) of the SSCM about t."""
-    U = spatial_signs(X - t)
-    return float(U[:, i] @ U[:, j])
-
 
 def _mean_cell(config, key, method, values, reference) -> CellResult:
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
@@ -440,10 +454,11 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
 @dataclass(frozen=True)
 class _Statistic:
     """One experiment family: its cells as (grid coordinates, model) pairs,
-    the value one replication records at a location t, the reduction of a
-    cell's values for one method, and the layout of each artifact: CSV
-    header and rows, summary header, and the result attributes (columns)
-    that the metadata cells and the summary lines show."""
+    the values a block of replications records from its spatial signs about
+    one location (see _block_values), the reduction of a cell's values for
+    one method, and the layout of each artifact: CSV header and rows,
+    summary header, and the result attributes (columns) that the metadata
+    cells and the summary lines show."""
 
     grid: Callable
     value: Callable
@@ -463,7 +478,7 @@ STATISTICS = {
             ))
             for p in c.p_grid for n in c.n_grid
         ],
-        value=lambda c, payload, X, t: payload["n"] * _spherical_error(X, t),
+        value=_table_values,
         reduce=_mean_cell,
         csv_header=("p", "n", "method", "mean", "se", "replications"),
         csv_rows=lambda c: [
@@ -474,8 +489,9 @@ STATISTICS = {
     ),
     "qq": _Statistic(
         grid=lambda c: [({"n": n}, c.model) for n in c.n_grid],
-        value=lambda c, payload, X, t: math.sqrt(payload["n"]) * (
-            _sign_product(X, t, *c.element) / payload["n"] - payload["target"]
+        value=lambda c, payload, U: math.sqrt(payload["n"]) * (
+            np.vecdot(U[..., c.element[0]], U[..., c.element[1]]) / payload["n"]
+            - payload["target"]
         ),
         reduce=_qq_cell,
         csv_header=("n", "method", "rank", "empirical", "reference"),
@@ -492,7 +508,7 @@ STATISTICS = {
             for p in c.p_grid for g in c.gamma_grid for n in c.n_grid
         ],
         # the population off-diagonal is 0 since V = I
-        value=lambda c, payload, X, t: abs(_sign_product(X, t, 0, 1)) / payload["n"],
+        value=lambda c, payload, U: np.abs(np.vecdot(U[..., 0], U[..., 1])) / payload["n"],
         reduce=_mean_cell,
         csv_header=("p", "gamma", "n", "method", "mean_abs_error", "se",
                     "replications"),

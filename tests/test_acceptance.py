@@ -106,12 +106,13 @@ def test_criterion_2_table_gaussian_p10_row():
 
 @pytest.mark.slow
 def test_criterion_3_table_p1000_gram_path():
-    from signcov.simharness import _spherical_error
-    from signcov import frobenius_error_gram
+    from signcov.simharness import _table_values
+    from signcov import frobenius_error_gram, spatial_signs
 
-    # the statistic routes through the Gram identity when p > n
+    # the block statistic routes through the Gram identity when p > n
     X = sample(gaussian_model([0.0] * 1000, np.eye(1000)), 5, SeededStream(1, 0))
-    assert _spherical_error(X, np.zeros(1000)) == frobenius_error_gram(
+    U = spatial_signs(X[None] - np.zeros(1000))
+    assert _table_values(None, None, U)[0] == 5 * frobenius_error_gram(
         X, np.zeros(1000)
     )
 

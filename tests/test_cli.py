@@ -418,6 +418,25 @@ def test_experiment_config_errors(tmp_path, capsys):
     assert "does not match" in err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    # JSON 1e999 parses to inf, a tolerance at which every point certifies
+    ("median_tolerance", "1e999", "below 0.2"),
+    ("median_max_iterations", "2.5", "integer"),
+    ("median_max_iterations", '"5"', "integer"),
+    ("median_max_iterations", "1e999", "integer"),
+])
+def test_vacuous_median_options_exit_code(tmp_path, capsys, key, value, message):
+    cfg = write(tmp_path, "table.json", (
+        '{"statistic": "table", "model": {"generator": "gaussian", '
+        '"mu": [0, 0, 0], "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, '
+        '"p_grid": [3], "n_grid": [10], "replications": 4, "master_seed": 1, '
+        f'"{key}": {value}}}'
+    ))
+    code, _, err = run(capsys, ["table", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2 and message in err
+    assert not (tmp_path / "out" / "table.csv").exists()
+
+
 def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "x.csv", "--bogus"])

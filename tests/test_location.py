@@ -17,6 +17,7 @@ from signcov import (
     spatial_signs,
     sscm_plugin,
 )
+from signcov.location import _spatial_medians
 from _oracles import (
     brute_force_spatial_median,
     random_orthogonal,
@@ -259,6 +260,15 @@ def test_median_sign_centering():
 def test_options_validation():
     with pytest.raises(InvalidInputError):
         MedianOptions(tolerance=0.0)
+    # from 0.2 on, the resultant certificate 5 * tolerance * n >= n holds
+    # at every point, so a converged flag would certify nothing
+    for tolerance in (np.inf, np.nan, 0.2, 1.0):
+        with pytest.raises(InvalidInputError, match="below 0.2"):
+            MedianOptions(tolerance=tolerance)
+    assert MedianOptions(tolerance=0.199).tolerance == 0.199
+    with pytest.raises(InvalidInputError, match="integer"):
+        MedianOptions(max_iterations=2.5)
+    assert MedianOptions(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(InvalidInputError):
         MedianOptions(max_iterations=0)
     with pytest.raises(InvalidInputError):
@@ -348,3 +358,75 @@ def test_safeguard_keeps_iterates_finite_without_warnings(initialization):
                 initialization=initialization, max_iterations=k))
             assert capped.iterations == k
             assert h[k] == l1_objective(X, capped.estimate)
+
+
+@pytest.fixture(scope="module")
+def block_corpora() -> dict:
+    """64 samples of one shape per corpus, together reaching every branch
+    of the solver: Newton and Weiszfeld steps, stalls and long tails at
+    gamma = 0.05, iterates starting on a data point (certified there or
+    stepping off it), snaps onto an optimal data point, and collinear
+    slices whose exactly singular Hessian makes a batched solve raise."""
+    g10 = gaussian_model(np.zeros(10), np.eye(10))
+    out = {f"gaussian_p10_n{n}": [sample(g10, n, SeededStream(7, k)) for k in range(64)]
+           for n in (5, 30)}
+    for gamma in (0.05, 0.45):
+        for n in (10, 100):
+            out[f"singularity_{gamma}_n{n}"] = [
+                sample(singularity_model(gamma, 2), n, SeededStream(8, k))
+                for k in range(64)
+            ]
+    rng = np.random.default_rng(5)
+    duplicated = []
+    for k in range(64):
+        X = np.round(rng.standard_normal((12, 3)), k % 2)
+        X[4:4 + k % 8] = X[0]
+        duplicated.append(X)
+    out["duplicated_rows"] = duplicated
+    t = np.array([0.0, 1, 3, 7, 8, 9, 12, 13, 20, 30])
+    mixed = list(out["singularity_0.45_n10"])
+    # axis-parallel lines: from the mean, H is exactly singular
+    mixed[3] = np.column_stack([t, np.full(10, -1.0)])
+    mixed[40] = np.column_stack([np.full(10, 0.5), t])
+    out["collinear_slices"] = mixed
+    return out
+
+
+@pytest.mark.parametrize("opts", [
+    MedianOptions(track_objective=True),
+    MedianOptions(initialization="mean", max_iterations=3, track_objective=True),
+], ids=["default", "mean_init_capped_at_3"])
+def test_block_solver_matches_spatial_median_per_slice(opts, block_corpora, monkeypatch):
+    solve, batch_failures = np.linalg.solve, []
+
+    def recording_solve(A, b):
+        try:
+            return solve(A, b)
+        except np.linalg.LinAlgError:
+            batch_failures.append(A.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    refs = {name: [spatial_median(X, opts) for X in samples]
+            for name, samples in block_corpora.items()}
+    for name, samples in block_corpora.items():
+        for B in (1, 2, 7, 64):
+            for lo in range(0, len(samples), B):
+                est, its, conv, hist = _spatial_medians(np.stack(samples[lo:lo + B]), opts)
+                for j, ref in enumerate(refs[name][lo:lo + B]):
+                    assert est[j].tobytes() == ref.estimate.tobytes(), (name, B, lo + j)
+                    assert (its[j], conv[j]) == (ref.iterations, ref.converged)
+                    assert hist[j].tobytes() == ref.objective_history.tobytes()
+    # the branches the corpora are there to reach
+    every = [r for results in refs.values() for r in results]
+    assert any(r.anchored and r.iterations > 0 for r in every)  # snapped
+    if opts.initialization == "mean":
+        assert any(len(shape) == 3 and shape[0] > 1 for shape in batch_failures)
+        assert any(r.iterations == 3 and not r.converged for r in every)
+    else:
+        assert any(not r.converged and r.iterations < 1000 for r in every)  # stalled
+        stepped_off = [
+            r for X, r in zip(block_corpora["duplicated_rows"], refs["duplicated_rows"])
+            if np.all(X == np.median(X, axis=0), axis=1).any() and r.iterations > 0
+        ]
+        assert stepped_off

@@ -101,7 +101,10 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "overrides",
     [dict(median_tolerance=0.0), dict(median_tolerance=-1e-8),
-     dict(median_max_iterations=0)],
+     dict(median_max_iterations=0),
+     # vacuous certificates: at 0.2 and above every point passes
+     dict(median_tolerance=float("inf")), dict(median_tolerance=0.2),
+     dict(median_max_iterations=2.5)],
 )
 def test_invalid_median_options_rejected_by_config(overrides):
     with pytest.raises(InvalidInputError):
@@ -111,6 +114,27 @@ def test_invalid_median_options_rejected_by_config(overrides):
             statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
             replications=4, master_seed=3, **overrides,
         )
+
+
+@pytest.mark.parametrize("text", ["1000.0", "1e3", "7"])
+def test_integral_median_max_iterations_accepted_from_json(text):
+    d = small_table_config().to_json_dict()
+    d["median_max_iterations"] = json.loads(text)
+    cfg = ExperimentConfig.from_json_dict(d)
+    assert cfg.median_options.max_iterations == float(text)
+    assert type(cfg.median_max_iterations) is int
+
+
+def test_block_size_counts_the_newton_system():
+    # the spatial median's (B, p, p) Newton systems count against the same
+    # 2**15-element budget as the (B, n, p) samples
+    assert harness._block_size(30, 10) == harness._block_size(5, 10) == 64
+    assert harness._block_size(1000, 2) == 16 and harness._block_size(20000, 2) == 1
+    assert harness._block_size(5, 100) == 3  # 2**15 // (5 * 100) would give 64
+    assert harness._block_size(5, 1000) == 1  # was 6: 48 MB per (B, p, p) array
+    for n, p in [(5, 100), (3, 60), (30, 10), (50, 50), (2, 40)]:
+        B = harness._block_size(n, p)
+        assert B * max(n, p) * p <= 2**15 < (B + 1) * max(n, p) * p or B == 64
 
 
 def test_config_builds_median_options_once():
@@ -156,14 +180,45 @@ def test_table_determinism_same_seed():
 
 
 def test_worker_count_independence(tmp_path):
-    cfg = small_table_config(replications=30)
-    paths = []
-    for workers in (1, 2, 4):
-        res = run_table_experiment(cfg, workers=workers)
-        path = tmp_path / f"table_{workers}.csv"
-        write_result_csv(res, path)
-        paths.append(path.read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    # in the second config R = 70 is no multiple of either cell's block
+    # size (64 at n = 5, 8 at n = 2000), so each cell ends on a short block
+    ragged = small_table_config(p_grid=(2,), n_grid=(5, 2000), replications=70)
+    sizes = [harness._block_size(n, 2) for n in ragged.n_grid]
+    assert sizes[0] != sizes[1] and all(70 % b for b in sizes)
+    for cfg in (small_table_config(replications=30), ragged):
+        paths = []
+        for workers in (1, 2, 3, 4):
+            res = run_table_experiment(cfg, workers=workers)
+            path = tmp_path / f"table_{workers}.csv"
+            write_result_csv(res, path)
+            paths.append(path.read_bytes())
+        assert len(set(paths)) == 1
+
+
+def _block_cases():
+    """(config, payload) per statistic, with the table at p > n (the Gram
+    path) and at p <= n."""
+    qq = ExperimentConfig(statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE),
+                          n_grid=(12,), replications=9, master_seed=5)
+    sweep = ExperimentConfig(statistic="sweep", model=singularity_model(0.05, 2),
+                             n_grid=(15,), replications=9, master_seed=5,
+                             p_grid=(2,), gamma_grid=(0.05,))
+    return {
+        "table_gram": (small_table_config(p_grid=(6,)), gaussian_model(np.zeros(6), np.eye(6)), 4),
+        "table": (small_table_config(p_grid=(3,)), gaussian_model(np.zeros(3), np.eye(3)), 20),
+        "qq": (qq, qq.model, 12),
+        "sweep": (sweep, singularity_model(0.05, 2), 15),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_block_values_match_one_replication_at_a_time(case):
+    config, model, n = _block_cases()[case]
+    payload = {"model": model, "n": n, "target": 0.25}
+    X = np.stack([harness.sample(model, n, harness.SeededStream(9, k)) for k in range(9)])
+    block = harness._block_values(config, payload, X)
+    one_by_one = np.vstack([harness._block_values(config, payload, x[None]) for x in X])
+    assert block.shape == (9, 3) and block.tobytes() == one_by_one.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -192,7 +247,7 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=None):
         return list(map(fn, items))
 
 
@@ -201,8 +256,10 @@ class _SerialPool:
     [(1000, 3, 3), (1000, 64, 12), (5, 64, 5), (2, None, None)],
 )
 def test_pool_capped_by_tasks_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
-    # 2 x 2 cells of 3 replications, one replication per task: 12 tasks
-    cfg = small_table_config(replications=3)
+    # 2 x 2 cells of 3 whole blocks, at most one block per task whenever
+    # the pool may have 3 or more workers: 12 tasks
+    cfg = small_table_config(replications=3 * 64)
+    assert {harness._block_size(n, p) for p in cfg.p_grid for n in cfg.n_grid} == {64}
     serial = tmp_path / "serial.csv"
     write_result_csv(run_table_experiment(cfg, workers=1), serial)
     sizes = []
@@ -243,13 +300,13 @@ def blas_at_two_threads():
         set_threads(n)
 
 
-def _recording_rep_values(seen):
-    """harness._rep_values that first records the BLAS thread counts."""
-    rep_values = harness._rep_values
+def _recording_block_values(seen):
+    """harness._block_values that first records the BLAS thread counts."""
+    block_values = harness._block_values
 
     def recording(*args):
         seen.append(_blas_threads())
-        return rep_values(*args)
+        return block_values(*args)
 
     return recording
 
@@ -267,7 +324,7 @@ def test_replications_run_with_one_blas_thread_then_restore(
     monkeypatch, blas_at_two_threads
 ):
     seen = []
-    monkeypatch.setattr(harness, "_rep_values", _recording_rep_values(seen))
+    monkeypatch.setattr(harness, "_block_values", _recording_block_values(seen))
     run_experiment(small_table_config(replications=3), workers=1)
     assert seen and all(c == [1] * len(blas_at_two_threads) for c in seen)
     assert _blas_threads() == blas_at_two_threads
@@ -287,7 +344,7 @@ def test_blas_threads_restored_when_a_replication_raises(
     def fail(*args):
         raise RuntimeError("replication failed")
 
-    monkeypatch.setattr(harness, "_rep_values", fail)
+    monkeypatch.setattr(harness, "_block_values", fail)
     with pytest.raises(RuntimeError, match="replication failed"):
         run_experiment(small_table_config(), workers=1)
     assert _blas_threads() == blas_at_two_threads
@@ -311,7 +368,7 @@ def test_pool_created_with_the_pin_initializer(monkeypatch, blas_at_two_threads)
 
     monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_rep_values", _recording_rep_values(seen))
+    monkeypatch.setattr(harness, "_block_values", _recording_block_values(seen))
     run_experiment(small_table_config(replications=3), workers=2)
     assert initializers == [harness._pin_one_blas_thread]
     assert seen and all(c == [1] * len(blas_at_two_threads) for c in seen)
