@@ -213,13 +213,21 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
                           None if hist is None else hist[0])
 
 
+def _componentwise_medians(X: np.ndarray) -> np.ndarray:
+    """np.median(X, axis=1) of a finite block X (B, n, p) bit for bit, without
+    its NaN check's numpy.ma import; it averages from +0.0 (-0.0 -> +0.0)."""
+    k, odd = divmod(X.shape[1], 2)
+    part = np.partition(X, k if odd else (k - 1, k), axis=1)
+    return 0.0 + part[:, k] if odd else (0.0 + part[:, k - 1] + part[:, k]) / 2
+
+
 def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     """spatial_median on each slice of a block X (B, n, p): estimates (B, p),
     iteration counts, converged flags and, with opts.track_objective, the
     objective histories (else None). A slice leaves the arrays once it stops;
     the snap test and a step off a data point run slice by slice."""
     B, n, p = X.shape
-    y = X.mean(axis=1) if opts.initialization == "mean" else np.median(X, axis=1)
+    y = X.mean(axis=1) if opts.initialization == "mean" else _componentwise_medians(X)
     diffs, r, objective = _radii(X, y)
     scale = r.max(axis=1)
     scale[scale == 0.0] = 1.0

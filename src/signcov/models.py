@@ -16,7 +16,11 @@ Randomness is pinned to numpy's Philox counter-based bit generator. A
 SeededStream(master_seed, stream_index) maps to
 Philox(SeedSequence(master_seed, spawn_key=(stream_index,))), so distinct
 stream indices give independent streams and identical (seed, index) pairs
-reproduce bitwise-identical draws.
+reproduce bitwise-identical draws; ``SeededStream.generator()`` is that
+reference path. A Philox stream is its key (Salmon et al. 2011), so the
+harness derives a run of keys in one vectorized pass of SeedSequence's
+mixing (``_stream_keys``) and re-keys one Philox for each, drawing the
+reference path's bits.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .linalg import require_finite, row_norms, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
 GENERATORS = ("gaussian", "student_t", "singularity")
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 # the model JSON keys, and the parameter (nu or gamma) each generator takes
 _MODEL_KEYS = frozenset({"generator", "mu", "V", "nu", "gamma"})
 _PARAMETER = {"gaussian": None, "student_t": "nu", "singularity": "gamma"}
@@ -49,10 +56,51 @@ class SeededStream:
             raise InvalidInputError("seed and stream index must be non-negative")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.stream_index,)
-        )
+        """The reference path: Philox(SeedSequence(seed, spawn_key=(index,)))."""
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(seq))
+
+
+def _hashmix(values, const, mult=_MULT_A):
+    """SeedSequence's hashmix of each 32-bit word (int or uint64 array) in
+    turn: (hashes, the constant that runs on)."""
+    hashes = []
+    for value in values:
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const & _MASK32
+        hashes.append(value ^ value >> 16)
+    return hashes, const
+
+
+def _stream_keys(master_seed: int, indices) -> np.ndarray:
+    """Philox keys (k, 2) uint64, row j SeedSequence(master_seed, spawn_key=
+    (indices[j],)).generate_state(2, np.uint64), by SeedSequence's algorithm.
+    The seed's w 32-bit words, zero-padded to the pool size 4, leave the pool
+    of SeedSequence(master_seed) after 16 + 4 max(w - 4, 0) hashmix steps;
+    the index's one word (below 2**32) or two then mix in, on arrays."""
+    steps = 16 + 4 * max(-(-master_seed.bit_length() // 32) - 4, 0)
+    const = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    idx = np.asarray(indices, dtype=np.uint64)
+    for word, entropy in ((idx & _MASK32, True), (idx >> 32, idx >> 32 > 0)):
+        hashes, const = _hashmix([word] * 4, const)
+        # SeedSequence's mix (exact mod 2**32 as uint64 wraps), where the word is entropy
+        mixed = [(_MIX_MULT_L * p - _MIX_MULT_R * h) & _MASK32 for p, h in zip(pool, hashes)]
+        pool = [np.where(entropy, m ^ m >> 16, p) for m, p in zip(mixed, pool)]
+    state, _ = _hashmix(pool, _INIT_B, _MULT_B)
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _keyed_generators(keys):
+    """One Generator, re-keyed for each Philox key in keys in turn to the
+    state of a fresh Philox(key=key): counter 0, empty buffer."""
+    rng, zeros = np.random.Generator(np.random.Philox(0)), np.zeros(4, np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
+        yield rng
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,22 +223,25 @@ def sample(model: EllipticalModel, n: int, stream: SeededStream) -> np.ndarray:
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    rng = stream.generator()
-    p = model.p
+    return _draw(model, n, 1, [stream.generator()])[0]
+
+
+def _draw(model: EllipticalModel, n: int, B: int, generators) -> np.ndarray:
+    """B samples (B, n, p), slice b drawn as ``sample`` draws from the b-th
+    generator, which is drawn out before the next is taken; the transform
+    runs once on the block (its matmul is the one-sample gemm per slice)."""
+    Z, W = np.empty((B, n, model.p)), np.empty((B, n))
+    for b, rng in enumerate(generators):
+        rng.standard_normal(out=Z[b])
+        if model.generator == "student_t":
+            W[b] = rng.chisquare(model.nu, size=n)
+        elif model.generator == "singularity":
+            W[b] = rng.uniform(size=n)
     if model.generator == "gaussian":
-        Z = rng.standard_normal((n, p))
         return model.mu + Z @ model._chol.T
     if model.generator == "student_t":
-        L = model._chol
-        Z = rng.standard_normal((n, p))
-        w = rng.chisquare(model.nu, size=n)
-        return model.mu + (Z @ L.T) / np.sqrt(w / model.nu)[:, None]
-    # singularity
-    G = rng.standard_normal((n, p))
-    U = spatial_signs(G)
-    u = rng.uniform(size=n)
-    R = u ** (1.0 / (2.0 * model.gamma))
-    return R[:, None] * U
+        return model.mu + (Z @ model._chol.T) / np.sqrt(W / model.nu)[..., None]
+    return (W ** (1.0 / (2.0 * model.gamma)))[..., None] * spatial_signs(Z)
 
 
 def population_sscm_closed_p2(V) -> ScatterMatrix:

@@ -35,11 +35,13 @@ import hashlib
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import platform
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -49,9 +51,10 @@ from .location import MedianOptions, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
-    SeededStream,
+    _draw,
+    _keyed_generators,
+    _stream_keys,
     population_sscm_closed_p2,
-    sample,
     sign_moments,
     singularity_model,
 )
@@ -67,6 +70,14 @@ _CONFIG_KEYS = frozenset({
 })
 # read and ignored: ref_draws sized the Monte Carlo qq reference of older versions
 _LEGACY_CONFIG_KEYS = frozenset({"ref_draws"})
+
+
+def _whole(value, name: str) -> int:
+    """value as an int; JSON's 1e3 counts, 2.5 and true do not."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise InvalidInputError(f"{name}: {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,10 @@ class ExperimentConfig:
     median_options: MedianOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "p_grid", tuple(int(p) for p in self.p_grid))
+        for name in ("replications", "master_seed", "median_max_iterations"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        for name in ("n_grid", "p_grid"):
+            object.__setattr__(self, name, tuple(_whole(k, name) for k in getattr(self, name)))
         object.__setattr__(
             self, "gamma_grid", tuple(float(g) for g in self.gamma_grid)
         )
@@ -169,20 +182,18 @@ class ExperimentConfig:
 
         def build(d):
             reject_unknown_keys(d, _CONFIG_KEYS | _LEGACY_CONFIG_KEYS, "config")
-            count = d.get("median_max_iterations", 1000)  # JSON 1e3 is a count, 2.5 is not
-            whole = isinstance(count, float) and count.is_integer()
             return cls(
                 statistic=d["statistic"],
                 model=EllipticalModel.from_json_dict(d["model"]),
                 n_grid=tuple(d["n_grid"]),
-                replications=int(d["replications"]),
-                master_seed=int(d["master_seed"]),
+                replications=d["replications"],
+                master_seed=d["master_seed"],
                 location_methods=tuple(d.get("methods", METHODS)),
                 p_grid=tuple(d.get("p_grid", ())),
                 gamma_grid=tuple(d.get("gamma_grid", ())),
                 element=tuple(d.get("element", (0, 1))),
                 median_tolerance=float(d.get("median_tolerance", 1e-10)),
-                median_max_iterations=int(count) if whole else count,
+                median_max_iterations=d.get("median_max_iterations", 1000),
             )
 
         return from_json_object(d, "config", build)
@@ -284,16 +295,16 @@ def _block_values(config, payload, X) -> np.ndarray:
 
 
 def _run_task(task) -> np.ndarray:
-    """Values of replications rep_lo to rep_hi - 1 of a cell, a run of
-    whole blocks; each replication samples from its own stream."""
+    """Values of replications rep_lo to rep_hi - 1 of a cell, a run of whole
+    blocks; each samples from its own stream, one Philox re-keyed for each."""
     config, payload, cell_index, rep_lo, rep_hi = task
     model, n = payload["model"], payload["n"]
     size, base = _block_size(n, model.p), cell_index * config.replications
-    stack = np.stack if size > 1 else (lambda one: one[0][None])  # uncopied
-    return np.vstack([_block_values(config, payload, stack([
-        sample(model, n, SeededStream(config.master_seed, base + rep))
-        for rep in range(lo, min(rep_hi, lo + size))
-    ])) for lo in range(rep_lo, rep_hi, size)])
+    streams = _keyed_generators(
+        _stream_keys(config.master_seed, range(base + rep_lo, base + rep_hi)))
+    block_sizes = [min(size, rep_hi - lo) for lo in range(rep_lo, rep_hi, size)]
+    return np.vstack([_block_values(config, payload, _draw(model, n, B, islice(streams, B)))
+                      for B in block_sizes])
 
 
 # the C thread-count calls of OpenBLAS, plain or under scipy's symbol names

@@ -496,6 +496,37 @@ def test_file_commands_load_no_scipy(tmp_path, capsys, argv):
     assert out == run(capsys, argv)[1]
 
 
+# runs the command in argv and prints whether numpy.ma was then loaded
+FRESH_NUMPY_MA = """
+import sys
+import signcov.cli
+code = signcov.cli.main(sys.argv[1:])
+print("numpy.ma" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_table_and_median_estimate_load_no_numpy_ma(tmp_path):
+    # np.median loads numpy.ma on first use, tens of ms per process; the
+    # median's start is taken from np.partition instead
+    X = np.random.default_rng(74).standard_normal((30, 3))
+    csv_path = write(tmp_path, "data.csv", "\n".join(
+        ",".join(repr(float(v)) for v in row) for row in X) + "\n")
+    cfg_path = write(tmp_path, "table.json", json.dumps({
+        "statistic": "table", "model": {"generator": "gaussian", "mu": [0, 0, 0],
+        "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "p_grid": [3], "n_grid": [5, 8],
+        "replications": 20, "master_seed": 3}))
+    src = str(Path(signcov.cli.__file__).resolve().parents[1])
+    for argv in (["table", "--config", cfg_path, "--fast", "--out", str(tmp_path / "out")],
+                 ["estimate", csv_path, "--location", "median"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_NUMPY_MA, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0 and proc.stderr.splitlines()[-1] == "False"
+
+
 def test_oracle_closed_in_fresh_interpreter(capsys):
     argv = ["oracle", "--model", P3_MODEL, "--method", "closed"]
     code, out, modules = run_fresh(argv)

@@ -17,7 +17,7 @@ from signcov import (
     spatial_signs,
     sscm_plugin,
 )
-from signcov.location import _spatial_medians
+from signcov.location import _componentwise_medians, _spatial_medians
 from _oracles import (
     brute_force_spatial_median,
     random_orthogonal,
@@ -336,6 +336,25 @@ def _safeguard_corpus():
         duplicates,  # exact duplicate rows
         *signed_zero_corpus(),
     ]
+
+
+def _componentwise_median_blocks():
+    rng = np.random.default_rng(41)
+    ties = rng.integers(-2, 3, size=(5, 8, 3)).astype(float)  # ties and zeros
+    ties[ties == 0.0] *= rng.choice([1.0, -1.0], size=int((ties == 0.0).sum()))
+    return [
+        rng.standard_normal((3, 1, 4)),  # n = 1
+        rng.standard_normal((4, 7, 3)), rng.standard_normal((4, 30, 10)),
+        ties, ties[:, :7], np.full((2, 4, 2), -0.0), np.full((2, 3, 2), -0.0),
+        *(X[None] for X in signed_zero_corpus()),
+    ]
+
+
+def test_componentwise_medians_match_np_median_bitwise():
+    for X in _componentwise_median_blocks():
+        expected = np.median(X, axis=1)
+        assert _componentwise_medians(X).view(np.int64).tobytes() == \
+            expected.view(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("initialization", ["componentwise_median", "mean"])

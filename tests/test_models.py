@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import signcov.simharness as harness
@@ -26,12 +28,81 @@ from signcov import (
     singularity_model,
     student_t_model,
 )
+from signcov.models import _draw, _keyed_generators, _stream_keys
 from _oracles import random_orthogonal
 
 SHAPE = np.array([[1.0, 0.5], [0.5, 1.0]])
 # exact off-diagonal of the population SSCM for SHAPE:
 # eigenvalues 1.5, 0.5 along (1, 1)/sqrt(2) and (1, -1)/sqrt(2)
 SHAPE_OFFDIAG = (np.sqrt(1.5) - np.sqrt(0.5)) / (2.0 * (np.sqrt(1.5) + np.sqrt(0.5)))
+
+
+def _fresh_philox_key(seed, index):
+    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+
+
+# the words SeedSequence splits seeds and indices into end at 2**32 and 2**64
+EDGE_INDICES = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**160 - 1), index=st.integers(0, 2**64 - 1))
+@example(seed=0, index=0)
+@example(seed=2**32 - 1, index=2**32 - 1)
+@example(seed=2**32, index=2**32)
+@example(seed=2**128 + 5, index=2**64 - 1)
+def test_stream_keys_match_seed_sequence(seed, index):
+    # 1-word, 4-word and 5-or-more-word seeds; 1- and 2-word indices
+    assert _stream_keys(seed, [index]).tobytes() == _fresh_philox_key(seed, index).tobytes()
+
+
+def test_stream_keys_of_many_indices_in_one_pass():
+    indices = [*EDGE_INDICES, 1, 7, 2**31, 2**40 + 7]
+    for seed in (0, 7, 2**40 + 3, 2**130 + 5):
+        keys = _stream_keys(seed, indices)
+        assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+        assert keys.tobytes() == np.array(
+            [_fresh_philox_key(seed, i) for i in indices]).tobytes()
+
+
+def _same_state(a, b):
+    return a.keys() == b.keys() and all(
+        _same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+        for k in a)
+
+
+def test_keyed_generators_reset_a_used_philox():
+    # each key is set on a Philox left mid-buffer by the previous stream,
+    # with a uint32 half-word pending, so every field of the state is reset
+    seed, indices = 11, [3, 2**32 + 1, 0]
+    generators = _keyed_generators(_stream_keys(seed, indices))
+    for index in indices:
+        rng = next(generators)
+        fresh = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,)))
+        assert _same_state(rng.bit_generator.state, fresh.state)
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        rng.standard_normal(5)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+
+
+DRAW_MODELS = {
+    "gaussian": gaussian_model([1.0, -2.0], SHAPE),
+    "student_t_4": student_t_model(4.0, [0.5, 0.0], SHAPE),
+    "student_t_1.5": student_t_model(1.5, [0.0, 0.0], SHAPE),
+    "singularity": singularity_model(0.05, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_MODELS))
+@pytest.mark.parametrize("B", [1, 3, 64])
+@pytest.mark.parametrize("n", [1, 5, 200])
+def test_block_draw_matches_sample(name, B, n):
+    model, seed = DRAW_MODELS[name], 2**33 + 9
+    indices = range(2**32 - 2, 2**32 - 2 + B)  # 1- and 2-word indices
+    block = _draw(model, n, B, _keyed_generators(_stream_keys(seed, indices)))
+    one_by_one = np.stack([sample(model, n, SeededStream(seed, i)) for i in indices])
+    assert block.shape == (B, n, model.p) and block.tobytes() == one_by_one.tobytes()
 
 
 def test_streams_are_reproducible_and_distinct():
@@ -327,15 +398,15 @@ def test_qq_reference_exact_and_seed_free():
 
 
 def test_qq_run_draws_only_replication_streams(monkeypatch):
-    drawn = []
+    keyed = []
 
-    def counting_sample(model, n, stream):
-        drawn.append(stream.stream_index)
-        return sample(model, n, stream)
+    def recording_keys(master_seed, indices):
+        keyed.extend(indices)
+        return _stream_keys(master_seed, indices)
 
-    monkeypatch.setattr(harness, "sample", counting_sample)
+    monkeypatch.setattr(harness, "_stream_keys", recording_keys)
     run_qq_experiment(_qq_config(3), workers=1)
-    assert sorted(drawn) == list(range(2 * 5))  # cell_index * R + rep
+    assert sorted(keyed) == list(range(2 * 5))  # cell_index * R + rep
 
 
 def test_qq_reference_memory_small():

@@ -16,17 +16,20 @@ from signcov import (
     ExperimentConfig,
     InvalidInputError,
     MedianOptions,
+    SeededStream,
     gaussian_model,
     ks_statistic,
     run_experiment,
     run_gamma_sweep,
     run_qq_experiment,
     run_table_experiment,
+    sample,
     singularity_model,
     student_t_model,
     write_metadata_json,
     write_result_csv,
 )
+from signcov.cli import main
 
 SHAPE = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -114,6 +117,32 @@ def test_invalid_median_options_rejected_by_config(overrides):
             statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
             replications=4, master_seed=3, **overrides,
         )
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_grid", [5.9]), ("p_grid", [3.7]), ("replications", 2.5),
+    ("master_seed", 1.7), ("replications", True), ("master_seed", True),
+    ("n_grid", [True]),
+])
+def test_non_integer_counts_rejected_by_config(tmp_path, capsys, key, value):
+    # int() would run p = 3.7 as 3 and seed 1.7 as 1, and read true as 1
+    d = small_table_config().to_json_dict()
+    d[key] = value
+    with pytest.raises(InvalidInputError, match=key):
+        ExperimentConfig.from_json_dict(d)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err and not out.exists()
+
+
+def test_whole_float_counts_accepted_from_json():
+    d = small_table_config().to_json_dict()
+    d.update(n_grid=[5.0, 1e1], replications=4e1, master_seed=1001.0)
+    cfg = ExperimentConfig.from_json_dict(d)
+    assert cfg == small_table_config()
+    assert all(type(v) is int for v in (*cfg.n_grid, cfg.replications, cfg.master_seed))
 
 
 @pytest.mark.parametrize("text", ["1000.0", "1e3", "7"])
@@ -215,7 +244,7 @@ def _block_cases():
 def test_block_values_match_one_replication_at_a_time(case):
     config, model, n = _block_cases()[case]
     payload = {"model": model, "n": n, "target": 0.25}
-    X = np.stack([harness.sample(model, n, harness.SeededStream(9, k)) for k in range(9)])
+    X = np.stack([sample(model, n, SeededStream(9, k)) for k in range(9)])
     block = harness._block_values(config, payload, X)
     one_by_one = np.vstack([harness._block_values(config, payload, x[None]) for x in X])
     assert block.shape == (9, 3) and block.tobytes() == one_by_one.tobytes()
