@@ -94,7 +94,25 @@ def median_corpus() -> dict:
         "singularity_p2": singular,
         "rounded_duplicates": duplicates,
         "signed_zero_init": signed_zero_corpus(),
+        **narrow_duplicates_corpus(),
     }
+
+
+def narrow_duplicates_corpus() -> dict:
+    """Rounded samples at p = 2 and p = 1 with exact duplicates of their first
+    row, heavy enough in some samples that the median approaches that row
+    and the vertex test certifies it (at p = 1, from the mean)."""
+    rng = np.random.default_rng(20260719)
+    groups = {}
+    for p, sizes, copies in ((2, (12, 30), 8), (1, (7, 12, 30), 4)):
+        samples = []
+        for n in sizes:
+            for k in range(copies):
+                X = np.round(rng.standard_normal((n, p)), 1)
+                X[4:5 + k] = X[0]
+                samples.append(X)
+        groups[f"rounded_duplicates_p{p}"] = samples
+    return groups
 
 
 # (group, options) pairs that are digested
@@ -106,6 +124,10 @@ CASES = [
     ("signed_zero_init", MedianOptions()),
     ("gaussian_p10", MedianOptions(initialization="mean", tolerance=1e-6)),
     ("student_t_p3", MedianOptions(max_iterations=3, track_objective=True)),
+    ("rounded_duplicates_p2", MedianOptions()),
+    ("rounded_duplicates_p2", MedianOptions(initialization="mean")),
+    ("rounded_duplicates_p1", MedianOptions()),
+    ("rounded_duplicates_p1", MedianOptions(initialization="mean")),
 ]
 
 
@@ -142,6 +164,15 @@ MEDIAN_DIGESTS = {
         "95a9b2b7e4c1477e19a6677e64cb325c58cbbee1d75f1d6a461077e750e0c58a",
     "student_t_p3[componentwise_median,1e-10,3]":
         "8cf632026f233ebb287b2ea1568adf0fa096e51a51b24a1197c0c9c217335615",
+    # recorded before any pass over p <= 2 samples ran per coordinate
+    "rounded_duplicates_p2[componentwise_median,1e-10,1000]":
+        "d9e2c2b5b4f40163307b4c9a61fb6f8ed34c37bb9dac0fedcc479674b7a74e4a",
+    "rounded_duplicates_p2[mean,1e-10,1000]":
+        "b3bcb653634448f9a5aaa9a0907f7906fdafa91a1553c9ff02ae5fb0cf8a9989",
+    "rounded_duplicates_p1[componentwise_median,1e-10,1000]":
+        "484d45f006fb663c96563057715da3511e316d89810dc0731b2ab1e2ad9d4930",
+    "rounded_duplicates_p1[mean,1e-10,1000]":
+        "56fa49c06af6fb7464816b599696e3f8052ee7f1b91b9d143ffe1fe299fc91e3",
 }
 
 
@@ -203,6 +234,27 @@ CSV_DIGESTS = {
 def test_experiment_csv_bits_pinned(tmp_path, statistic):
     config = experiment_configs()[statistic]
     assert csv_digest(config, tmp_path / "out.csv") == CSV_DIGESTS[statistic]
+
+
+# a sweep at n = 20000, one replication per block, where the medians'
+# vertex tests and the sampler run on long (n, 2) arrays
+LARGE_N_SWEEP = ExperimentConfig(
+    statistic="sweep",
+    model=singularity_model(0.05, 2),
+    p_grid=(2,),
+    gamma_grid=(0.05, 0.45),
+    n_grid=(20_000,),
+    replications=3,
+    master_seed=35,
+)
+
+LARGE_N_SWEEP_CSV_DIGEST = (  # recorded with the (n, 2) passes as broadcasts
+    "ee4051d0a09c1a39b8051854eba3e48c8be2023cc9c51ff8581fcc9dcbb14587"
+)
+
+
+def test_large_n_sweep_csv_bits_pinned(tmp_path):
+    assert csv_digest(LARGE_N_SWEEP, tmp_path / "out.csv") == LARGE_N_SWEEP_CSV_DIGEST
 
 
 def median_free_csv_digest(config, path) -> str:
@@ -420,6 +472,10 @@ if __name__ == "__main__":
         print(json.dumps(
             {s: csv_digest(c, tmp / f"{s}.csv")
              for s, c in experiment_configs().items()}, indent=4
+        ))
+        print(json.dumps(
+            {"sweep_large_n": csv_digest(LARGE_N_SWEEP, tmp / "sweep_large_n.csv")},
+            indent=4,
         ))
         print(json.dumps(
             {s: median_free_csv_digest(c, tmp / f"{s}_median_free.csv")

@@ -197,7 +197,28 @@ def _row_norm_inputs() -> dict:
         inner,
         np.zeros((3, 3)),
     ])
-    return {"plain": plain, "rescaled": np.vstack([tiny, huge]), "mixed": mixed}
+    return {"plain": plain, "rescaled": np.vstack([tiny, huge]), "mixed": mixed,
+            **_narrow_row_norm_inputs()}
+
+
+def _narrow_row_norm_inputs() -> dict:
+    """Seeded inputs at p = 1 and p = 2, where row_norms may sweep each
+    coordinate over all rows: plain and rescued rows, signed zeros, and rows
+    one subnormal step (5e-324) apart; p = 2 also as a block (B, n, 2)."""
+    rng = np.random.default_rng(155)
+    edge = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                     [5e-324, 0.0], [0.0, -5e-324], [5e-324, 5e-324],
+                     [1e-320, 3e-320], [1e-320, 3e-320 + 5e-324],
+                     [1.0, 5e-324], [1.0, 0.0], [-1e-160, 1e-160],
+                     [3e-170, -4e-170], [1e160, -1e160], [3e170, 4e170],
+                     [1.5e154, 1.0], [1e-141, 1e-141], [1.79e308, 0.0]])
+    p2 = np.vstack([
+        rng.standard_normal((20, 2)) * 10.0 ** rng.integers(-200, 200, (20, 1)),
+        rng.standard_normal((20, 2)),
+        edge,
+    ])
+    p1 = np.concatenate([p2[:, 0], [-0.0, 5e-324, -1e-200, 1e200, -1.79e308]])
+    return {"p1": p1[:, None], "p2": p2, "p2_block": p2[:56].reshape(4, 14, 2)}
 
 
 # sha256 of row_norms(input).tobytes(), recorded from the implementation
@@ -207,6 +228,11 @@ ROW_NORM_DIGESTS = {
     "plain": "5f8290ffde0d4e2871564a6ebe8a5851ae6d2735b087cb525e805f188ec526c8",
     "rescaled": "fd175e0e3c0733c1193045ec050cf422fe68bce7af693037d708d395e6b44b11",
     "mixed": "8ed7a71890cbce262dfa5adfda120fde9d25842708456f049f9b6e42fa0f03f0",
+    # recorded from the implementation whose plain sum of squares was one
+    # einsum over every p
+    "p1": "0a40bca9937b92035d042ba2ce60eaa1d249ee8e4cb4cbe85f50f58eade1c430",
+    "p2": "03aeaa9f3ff11d5742f8ff84883a17d018ce26e4ebb4b91d812369c5ef788051",
+    "p2_block": "79c7708ff4b9ed3060e95b97358abccb3a0f691d7e0e8c4c2a9320d0a8da852c",
 }
 
 
@@ -216,7 +242,7 @@ def test_row_norms_bits_pinned(name):
     assert hashlib.sha256(r.tobytes()).hexdigest() == ROW_NORM_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", ["plain", "rescaled", "mixed"])
+@pytest.mark.parametrize("name", ["plain", "rescaled", "mixed", "p1", "p2"])
 def test_row_norms_match_scaled_reference(name):
     X = _row_norm_inputs()[name]
     r = row_norms(X)
