@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import matrix_json, require_finite, row_norms, spatial_signs, symmetrize
+from .linalg import matrix_json, require_finite, row_norms, rowwise, spatial_signs, symmetrize
 from .location import _as_sample
 
 # flag joint-covariance estimates on samples whose coordinates show this
@@ -44,7 +44,7 @@ def vec_sign_outers(X, t) -> np.ndarray:
     """n x p^2 matrix whose rows are vec(s(X_i - t) s(X_i - t)^T)."""
     X = _as_sample(X)
     t = require_finite(t, "location")
-    U = spatial_signs(X - t)
+    U = spatial_signs(rowwise(np.subtract, X, t))
     n, p = U.shape
     # row-major flatten of (j, i) blocks == column-major vec of the outer
     A = U[:, :, None] * U[:, None, :]

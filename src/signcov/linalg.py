@@ -23,6 +23,19 @@ def require_finite(a, name: str = "input") -> np.ndarray:
     return a
 
 
+def rowwise(ufunc, X: np.ndarray, v) -> np.ndarray:
+    """ufunc(X, v) for float rows X (..., n, p) and a v that broadcasts to X's
+    shape, bit for bit. At p <= 2 the ufunc runs once per coordinate on the
+    strided views X[..., k], since a broadcast call loops over rows of length p."""
+    if X.shape[-1] > 2:
+        return ufunc(X, v)
+    v = np.asarray(v)
+    out = np.empty_like(X)
+    for k in range(X.shape[-1]):
+        ufunc(X[..., k], v[..., k % v.shape[-1]], out=out[..., k])
+    return out
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of X, or of each slice of a block (B, n, p).
 
@@ -33,7 +46,13 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     magnitudes routinely, hence the care.
     """
     X = np.asarray(X, dtype=float)
-    d2 = np.einsum("...j,...j->...", X, X)
+    if 0 < X.shape[-1] <= 2:  # per coordinate: the einsum's sum, x0*x0 (+ x1*x1)
+        with np.errstate(over="ignore"):  # as quiet as the einsum; rescued below
+            d2 = X[..., 0] * X[..., 0]
+            if X.shape[-1] == 2:
+                d2 += X[..., 1] * X[..., 1]
+    else:
+        d2 = np.einsum("...j,...j->...", X, X)
     r = np.sqrt(d2)
     # outside this range the plain sum of squares is zero, subnormal
     # (reduced precision), or at overflow risk; two reductions settle the
@@ -67,7 +86,7 @@ def spatial_signs(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     r = row_norms(X)
     safe = np.where(r > 0.0, r, 1.0)
-    return X / safe[..., None]
+    return rowwise(np.divide, X, safe[..., None])
 
 
 def sign_outer(x) -> np.ndarray:

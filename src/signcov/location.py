@@ -18,6 +18,10 @@ steps it takes alone: elementwise operations and reductions along a row or
 slice keep their order, and ``np.matmul`` (gemv, syrk), ``np.vecdot`` and
 the gufunc ``np.linalg.solve`` (gesv) run the one-sample kernel per slice,
 where an ``np.einsum`` sum across rows such as ``"bi,bij->bj"`` would not.
+At p <= 2, by p alone, the passes over rows (X - y, row norms, the Newton
+row scaling, the vertex test) run per coordinate (``linalg.rowwise``): a
+ufunc rounds each entry alone and x0*x0 + x1*x1 is the einsum's sum, so the
+bits hold, and every reduction stays on the (B, n, p) arrays.
 
 A result's anchored flag, objective and degenerate_geometry are computed
 on first read, from the sample the call received: the Monte Carlo harness
@@ -34,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import require_finite, row_norms
+from .linalg import require_finite, row_norms, rowwise
 
 INITIALIZATIONS = ("componentwise_median", "mean")
 LOCATION_METHODS = ("mean", "median", "fixed")
@@ -137,7 +141,7 @@ def l1_objective(X, mu) -> float:
     """Sum of Euclidean distances from the observations to mu."""
     X = _as_sample(X)
     mu = require_finite(mu, "mu")
-    return float(np.sum(row_norms(X - mu)))
+    return float(np.sum(row_norms(rowwise(np.subtract, X, mu))))
 
 
 def _degenerate_geometry(X: np.ndarray) -> bool:
@@ -152,19 +156,17 @@ def _degenerate_geometry(X: np.ndarray) -> bool:
 def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     """Optimality test for a data point: the summed spatial signs of the
     other observations must not outpull its multiplicity."""
-    coincident = np.all(X == vertex, axis=1)
-    eta = int(coincident.sum())
-    d = X[~coincident] - vertex
-    if d.shape[0] == 0:
-        return True
+    d = rowwise(np.subtract, X, vertex)
     r = row_norms(d)
+    coincident = np.flatnonzero(r == 0.0)  # the rows == vertex (-0.0 == 0.0)
+    d, r = np.delete(d, coincident, axis=0), np.delete(r, coincident)
     resultant = (1.0 / r) @ d
-    return bool(np.sqrt(resultant @ resultant) <= eta)
+    return bool(np.sqrt(resultant @ resultant) <= len(coincident))
 
 
 def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Differences X_i - y, their norms and sum per slice of X (k, n, p)."""
-    diffs = X - y[:, None]
+    diffs = rowwise(np.subtract, X, y[:, None])
     r = row_norms(diffs)
     return diffs, r, r.sum(axis=1)
 
@@ -321,7 +323,8 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
             # The Newton step H^-1 R is (I - V^T V)^-1 times the Weiszfeld
             # step R / sum w, where the rows v_i = u_i sqrt(w_i / sum w)
             # have norm at most 1, so nothing overflows at tiny radii.
-            v = diffs[sel] * (w * np.sqrt(w / w_sum[:, None]))[:, :, None]
+            v = rowwise(np.multiply, diffs[sel],
+                        (w * np.sqrt(w / w_sum[:, None]))[:, :, None])
             newton = _solve_each(identity - np.matmul(v.transpose(0, 2, 1), v), weiszfeld)
             finite = np.isfinite(newton).all(axis=1)
             if not finite.all():  # these take the Weiszfeld step

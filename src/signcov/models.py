@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
-from .linalg import require_finite, row_norms, spatial_signs, symmetrize
+from .linalg import require_finite, row_norms, rowwise, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
 GENERATORS = ("gaussian", "student_t", "singularity")
@@ -241,7 +241,8 @@ def _draw(model: EllipticalModel, n: int, B: int, generators) -> np.ndarray:
         return model.mu + Z @ model._chol.T
     if model.generator == "student_t":
         return model.mu + (Z @ model._chol.T) / np.sqrt(W / model.nu)[..., None]
-    return (W ** (1.0 / (2.0 * model.gamma)))[..., None] * spatial_signs(Z)
+    radii = W ** (1.0 / (2.0 * model.gamma))
+    return rowwise(np.multiply, spatial_signs(Z), radii[..., None])
 
 
 def population_sscm_closed_p2(V) -> ScatterMatrix:
@@ -333,7 +334,7 @@ def population_sscm_mc(
     if n_draws < 100:
         raise InvalidInputError("n_draws must be at least 100")
     X = sample(model, n_draws, stream)
-    U = spatial_signs(X - model.mu)
+    U = spatial_signs(rowwise(np.subtract, X, model.mu))
     M = U.T @ U / n_draws
     U2 = U * U
     second = U2.T @ U2 / n_draws

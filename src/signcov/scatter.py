@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import require_finite, row_norms, spatial_signs, symmetrize
+from .linalg import require_finite, row_norms, rowwise, spatial_signs, symmetrize
 from .location import (
     LocationResult,
     MedianOptions,
@@ -69,7 +69,7 @@ def coincidence_report(X, t) -> CoincidenceReport:
 def sscm_fixed(X, t) -> ScatterMatrix:
     """SSCM about a fixed location: mean of s(X_i - t) s(X_i - t)^T."""
     X, t = _sample_at(X, t)
-    U = spatial_signs(X - t)
+    U = spatial_signs(rowwise(np.subtract, X, t))
     S = symmetrize(U.T @ U) / X.shape[0]
     return ScatterMatrix(S, "fixed_location", X.shape[0], location_used=t.copy())
 
@@ -81,7 +81,7 @@ def sscm_star(X, t) -> ScatterMatrix:
     report = coincidence_report(X, t)
     if report.n_star == 0:
         raise DegenerateSampleError("every observation coincides with the location")
-    U = spatial_signs(X - t)
+    U = spatial_signs(rowwise(np.subtract, X, t))
     S = symmetrize(U.T @ U) / report.n_star
     return ScatterMatrix(S, "starred", report.n_star, location_used=t.copy())
 
@@ -122,15 +122,15 @@ def ssscm(X) -> ScatterMatrix:
         D = X[ii] - X[jj]
         r = row_norms(D)
         nz = r > 0.0
-        U = D[nz] / r[nz, None]
+        U = rowwise(np.divide, D[nz], r[nz, None])
         M = U.T @ U
         pairs_used = int(np.count_nonzero(nz))
     else:
         for i in range(n - 1):
-            D = X[i + 1 :] - X[i]
+            D = rowwise(np.subtract, X[i + 1 :], X[i])
             r = row_norms(D)
             nz = r > 0.0
-            U = D[nz] / r[nz, None]
+            U = rowwise(np.divide, D[nz], r[nz, None])
             M += U.T @ U
             pairs_used += int(np.count_nonzero(nz))
 
@@ -147,7 +147,7 @@ def frobenius_error_gram(X, t) -> float:
     p >> n (cost O(n^2 p) instead of O(n p^2)).
     """
     X, t = _sample_at(X, t)
-    return float(_gram_error(spatial_signs(X - t)[None])[0])
+    return float(_gram_error(spatial_signs(rowwise(np.subtract, X, t))[None])[0])
 
 
 def _gram_error(U: np.ndarray) -> np.ndarray:

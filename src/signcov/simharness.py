@@ -46,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
-from .linalg import spatial_signs
+from .linalg import rowwise, spatial_signs
 from .location import MedianOptions, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
@@ -290,7 +290,7 @@ def _block_values(config, payload, X) -> np.ndarray:
             t = X.mean(axis=1)[:, None]
         else:
             t = _spatial_medians(X, config.median_options)[0][:, None]
-        out[:, k] = value(config, payload, spatial_signs(X - t))
+        out[:, k] = value(config, payload, spatial_signs(rowwise(np.subtract, X, t)))
     return out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signcov import (
     InvalidInputError,
@@ -16,6 +17,7 @@ from signcov import (
     spatial_signs,
     vec,
 )
+from signcov.linalg import rowwise
 from _oracles import random_orthogonal
 
 
@@ -257,3 +259,42 @@ def test_row_norms_empty_input(p):
     r = row_norms(np.empty((0, p)))
     assert r.shape == (0,)
     assert r.dtype == np.float64
+
+
+# every finite float: signed zeros, subnormals and magnitudes up to 1.8e308
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rowwise_cases(draw):
+    """(ufunc, X, v): X is (n, p) or (B, n, p); v is shaped as the callers
+    shape it: a location (p,), one per slice (B, 1, p) or one per row."""
+    p, n, B = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    block = draw(st.booleans())
+    X = draw(arrays(np.float64, (B, n, p) if block else (n, p), elements=any_finite))
+    v_shape = draw(st.sampled_from([(p,), (B, 1, p), (B, n, 1)] if block else [(p,), (n, 1)]))
+    v = draw(arrays(np.float64, v_shape, elements=any_finite))
+    return draw(st.sampled_from([np.subtract, np.multiply, np.divide])), X, v
+
+
+@given(rowwise_cases())
+@settings(max_examples=300, deadline=None)
+def test_rowwise_is_the_broadcast_ufunc_bit_for_bit(case):
+    ufunc, X, v = case
+    with np.errstate(all="ignore"):  # overflow and division by zero included
+        got, want = rowwise(ufunc, X, v), ufunc(X, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# entries whose squares and sums of two squares stay on row_norms' plain path
+plain_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-130, 1e130),
+                          st.floats(-1e130, -1e-130))
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from([(), (3,)]), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_narrow_row_norms_are_the_einsum_norms_bit_for_bit(p, lead, n, data):
+    X = data.draw(arrays(np.float64, (*lead, n, p), elements=plain_entries))
+    want = np.sqrt(np.einsum("...j,...j->...", X, X))
+    assert row_norms(X).tobytes() == want.tobytes()

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from signcov import (
     InvalidInputError,
@@ -17,7 +20,8 @@ from signcov import (
     spatial_signs,
     sscm_plugin,
 )
-from signcov.location import _componentwise_medians, _spatial_medians
+from signcov.linalg import row_norms, rowwise
+from signcov.location import _anchored_optimal_at, _componentwise_medians, _spatial_medians
 from _oracles import (
     brute_force_spatial_median,
     random_orthogonal,
@@ -449,3 +453,61 @@ def test_block_solver_matches_spatial_median_per_slice(opts, block_corpora, monk
             if np.all(X == np.median(X, axis=0), axis=1).any() and r.iterations > 0
         ]
         assert stepped_off
+
+
+def _anchored_optimal_at_by_equality(X, vertex):
+    """The vertex test as first written, kept as the oracle: coincidence by
+    coordinate equality, a boolean gather of the other rows, a subtraction."""
+    coincident = np.all(X == vertex, axis=1)
+    eta = int(coincident.sum())
+    d = X[~coincident] - vertex
+    if d.shape[0] == 0:
+        return True
+    r = row_norms(d)
+    resultant = (1.0 / r) @ d
+    return bool(np.sqrt(resultant @ resultant) <= eta)
+
+
+# coordinates that coincide across signed zeros and differ by one subnormal
+# step (5e-324), or by one ulp at 1
+near_coordinates = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.0, np.nextafter(1.0, 2.0), -3e-160, 2e300])
+
+
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_zero_radius_is_coordinate_equality(p, n, data):
+    X = data.draw(arrays(np.float64, (n, p), elements=near_coordinates))
+    vertex = data.draw(arrays(np.float64, (p,), elements=near_coordinates))
+    r = row_norms(rowwise(np.subtract, X, vertex))
+    assert np.array_equal(r == 0.0, np.all(X == vertex, axis=1))
+
+
+def _duplicate_row_corpus(p):
+    rng = np.random.default_rng(60 + p)
+    corpus = [X for X in signed_zero_corpus() if X.shape[1] == p]
+    corpus.append(np.zeros((4, p)) * np.array([[1.0], [-1.0], [1.0], [-1.0]]))  # all coincide
+    # the origin twice, outpulled by three rows one subnormal step away
+    corpus.append(np.vstack([np.zeros((1, p)), -np.zeros((1, p)),
+                             np.tile(np.eye(1, p) * 5e-324, (3, 1))]))
+    for n in (5, 12, 30):
+        for k in range(6):
+            X = np.round(rng.standard_normal((n, p)), 1)
+            X[3:4 + k] = X[0]  # heavy duplicates pass the test
+            X[-1] = np.where(X[0] == 0.0, -X[0], X[0])  # a signed-zero twin
+            X[-2] = np.nextafter(X[0], np.inf)  # one ulp (5e-324 at 0) away
+            corpus.append(X)
+    return corpus
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_vertex_test_matches_coordinate_equality_oracle(p):
+    outcomes = set()
+    for X in _duplicate_row_corpus(p):
+        for vertex in X:
+            with np.errstate(over="ignore", invalid="ignore"):  # 1 / 5e-324 overflows
+                got = _anchored_optimal_at(X, vertex)
+                want = _anchored_optimal_at_by_equality(X, vertex)
+            assert got == want, (X, vertex)
+            outcomes.add(got)
+    assert outcomes == {True, False}
