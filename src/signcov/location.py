@@ -159,9 +159,16 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     d = rowwise(np.subtract, X, vertex)
     r = row_norms(d)
     coincident = np.flatnonzero(r == 0.0)  # the rows == vertex (-0.0 == 0.0)
-    d, r = np.delete(d, coincident, axis=0), np.delete(r, coincident)
-    resultant = (1.0 / r) @ d
+    resultant = _sign_resultant(np.delete(d, coincident, axis=0), np.delete(r, coincident))[0]
     return bool(np.sqrt(resultant @ resultant) <= len(coincident))
+
+
+def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i d_i / r_i, 1 / r) for radii r > 0: (1 / r) @ d, or where 1 / r_i
+    overflows (r_i < ~5.6e-309) the sum of the unit rows d_i / r_i."""
+    with np.errstate(over="ignore"):
+        w = 1.0 / r
+    return (rowwise(np.divide, d, r[:, None]).sum(axis=0) if np.isinf(w).any() else w @ d), w
 
 
 def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +270,8 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
 
     def finish(done, ok):  # record the slices that stop
         o = ids[done]
-        estimates[o], iterations[o], converged[o] = y[done], its[done], ok[done]
+        estimates[o], iterations[o] = y[done], its[done]
+        converged[o] = ok[done] & ~np.isnan(y[done]).any(axis=1)  # NaN: an overflowed step
         for j in np.flatnonzero(done) if histories is not None else ():
             if len(histories[ids[j]]) == its[j]:  # ended by a step
                 histories[ids[j]].append(
@@ -297,8 +305,7 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
                 # zero radius <=> exact coordinate coincidence with a data point
                 active = r[j] > 0.0
                 eta = int(n - np.count_nonzero(active))
-                w = 1.0 / r[j, active]
-                resultant = w @ diffs[j, active] if w.size else np.zeros(p)
+                resultant, w = _sign_resultant(diffs[j, active], r[j, active])
                 norm_res = math.sqrt(float(resultant @ resultant))
                 if norm_res <= eta:  # y is a data point passing the optimality test
                     done[j] = ok[j] = True

@@ -20,9 +20,11 @@ limit variance) are exact functions of the model's shape matrix
 Replications run in blocks of B = min(64, max(1, 2**15 // (max(n, p) * p)))
 starting at multiples of B within a cell (64 at n = 30, p = 10; 1 at n =
 20000, p = 2), which keeps a block's samples (B, n, p) and Newton systems
-(B, p, p) within 2**15 elements unless one alone is larger. A pool task is a
-run of whole blocks, so ``--workers`` never moves a block boundary, and each
+(B, p, p) within 2**15 elements unless one alone is larger. A task is a run
+of whole blocks, so ``--workers`` never moves a block boundary, and each
 slice gets the bits it gets alone (see the ``location`` module docstring).
+Tasks run in this process and in children forked after the OpenBLAS pin,
+which inherit it, the config and the payloads; only values come back.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import numbers
 import os
+import pickle
 import platform
+import signal
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -342,16 +345,9 @@ def _openblas_thread_controls() -> list:
 
 def _pin_one_blas_thread() -> list:
     """Set every loaded OpenBLAS to one thread; returns (set, previous
-    count) per library it changed. Also the pool workers' initializer.
-
-    A library already at one thread is left alone: in a forked worker,
-    which inherits the pin, setting the count would restart the BLAS
-    thread pool that the fork shut down, and its idle threads spin. In a
-    pool worker it also sets OPENBLAS_NUM_THREADS to 1, so that an OpenBLAS
-    loaded later (scipy's, on first use) starts at one thread too; the
-    parent process's environment is never touched."""
-    if multiprocessing.parent_process() is not None:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    count) per library it changed. One already at one thread is left
+    alone: setting it would restart a BLAS thread pool that a fork shut
+    down, whose idle threads spin."""
     pinned = [(set_threads, n)
               for get_threads, set_threads in _openblas_thread_controls()
               if (n := get_threads()) != 1]
@@ -367,7 +363,8 @@ def _one_blas_thread():
 
     A threaded BLAS reduction rounds by its split, which follows the thread
     count, so pinning makes the replication values independent of the host;
-    it also keeps BLAS threads from oversubscribing the pool's CPUs."""
+    it also keeps BLAS threads from oversubscribing the CPUs. Children
+    forked in the body inherit the pin."""
     pinned = _pin_one_blas_thread()
     try:
         yield
@@ -376,14 +373,73 @@ def _one_blas_thread():
             set_threads(previous)
 
 
+def _forked_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], run by this process and workers - 1 forked
+    children, which inherit fn and items. The queue is a pipe of one 8-byte
+    index per process: the taker of i puts back i + workers, or i once past
+    the end, and stops after workers ends in a row, so a child that dies
+    loses only its own put-backs. A child pickles its (index, value) pairs
+    or its exception into its own pipe and leaves by os._exit."""
+    queue_r, queue_w = os.pipe()
+    children = {}  # pid -> the read end of its result pipe
+
+    def run() -> list:
+        done, ends = [], 0
+        while ends < workers:
+            i = int.from_bytes(os.read(queue_r, 8), "little")
+            ends = ends + 1 if i >= len(items) else 0
+            os.write(queue_w, (i if ends else i + workers).to_bytes(8, "little"))
+            done += [] if ends else [(i, fn(items[i]))]
+        return done
+
+    try:
+        os.write(queue_w, b"".join(i.to_bytes(8, "little") for i in range(workers)))
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # never return into the caller, nor flush its stdio buffers
+                    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # for an OpenBLAS loaded later
+                    try:
+                        out = run()
+                    except BaseException as exc:  # re-raised by the parent
+                        out = exc
+                    with open(result_w, "wb") as fh:
+                        pickle.dump(out, fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(result_w)
+            children[pid] = open(result_r, "rb")
+        pairs = run()
+        for pid in list(children):
+            data = children[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(pid).close()
+            out = pickle.loads(data) if status == 0 else ChildProcessError(
+                f"worker {pid} sent no result: wait status {status}")
+            if isinstance(out, BaseException):
+                raise out
+            pairs += out
+    finally:
+        for pid, fh in children.items():  # left after an error: stop and reap
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(queue_r)
+        os.close(queue_w)
+    return [value for _, value in sorted(pairs, key=lambda pair: pair[0])]
+
+
 def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     """Replication values for every cell, shape (R, n_methods) each,
     assembled in replication order regardless of worker count, with one
     BLAS thread per process.
 
-    A task is a run of whole blocks of one cell. The pool never exceeds
-    the task count or the machine's CPU count."""
-    workers = min(workers, os.cpu_count() or 1)
+    A task is a run of whole blocks of one cell. The processes never
+    outnumber the tasks or CPUs; there is one where CPython's
+    multiprocessing does not default to fork (Windows, macOS)."""
+    forks = hasattr(os, "fork") and platform.system() != "Darwin"
+    workers = min(workers, os.cpu_count() or 1) if forks else 1
     R = config.replications
     tasks = []
     for cell_index, payload in enumerate(payloads):
@@ -391,15 +447,8 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
         chunk = size * math.ceil(math.ceil(R / size) / (workers * 4))
         tasks += [(config, payload, cell_index, lo, min(R, lo + chunk))
                   for lo in range(0, R, chunk)]
-    workers = min(workers, len(tasks))
     with _one_blas_thread():
-        if workers <= 1:
-            chunks = [_run_task(t) for t in tasks]
-        else:
-            with multiprocessing.Pool(
-                workers, initializer=_pin_one_blas_thread
-            ) as pool:
-                chunks = pool.map(_run_task, tasks, chunksize=1)
+        chunks = _forked_map(_run_task, tasks, min(workers, len(tasks)))
     return [np.vstack([c for t, c in zip(tasks, chunks) if t[2] == k])
             for k in range(len(payloads))]
 

@@ -479,6 +479,26 @@ def test_cli_import_loads_no_scipy():
     assert run_fresh([]) == (0, "", [])
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # the harness forks its workers itself; multiprocessing costs ms to import
+    src = str(Path(signcov.cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, signcov.cli; "
+         "print([m for m in sys.modules if m.split('.')[0] == 'multiprocessing'])"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_forked_table_prints_its_summary_once(tmp_path):
+    # a child that returned into the CLI, or flushed the parent's stdout
+    # buffer on exit, would print the summary twice into the pipe
+    code, out, _ = run_fresh(["table", "--config", table_config(tmp_path), "--fast",
+                              "--workers", "2", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert out.count("p n method mean se\n") == 1 and out.count("artifacts: ") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--star", "--symmetrized", "--asymptotics"],
     ["asymptotics"],

@@ -457,14 +457,17 @@ def test_block_solver_matches_spatial_median_per_slice(opts, block_corpora, monk
 
 def _anchored_optimal_at_by_equality(X, vertex):
     """The vertex test as first written, kept as the oracle: coincidence by
-    coordinate equality, a boolean gather of the other rows, a subtraction."""
+    coordinate equality, a boolean gather of the other rows, a subtraction.
+    Where a weight 1 / r_i overflows (subnormal r_i) it sums the unit rows."""
     coincident = np.all(X == vertex, axis=1)
     eta = int(coincident.sum())
     d = X[~coincident] - vertex
     if d.shape[0] == 0:
         return True
     r = row_norms(d)
-    resultant = (1.0 / r) @ d
+    with np.errstate(over="ignore"):
+        w = 1.0 / r
+    resultant = (d / r[:, None]).sum(axis=0) if np.isinf(w).any() else w @ d
     return bool(np.sqrt(resultant @ resultant) <= eta)
 
 
@@ -505,9 +508,21 @@ def test_vertex_test_matches_coordinate_equality_oracle(p):
     outcomes = set()
     for X in _duplicate_row_corpus(p):
         for vertex in X:
-            with np.errstate(over="ignore", invalid="ignore"):  # 1 / 5e-324 overflows
-                got = _anchored_optimal_at(X, vertex)
-                want = _anchored_optimal_at_by_equality(X, vertex)
-            assert got == want, (X, vertex)
+            got = _anchored_optimal_at(X, vertex)
+            assert got == _anchored_optimal_at_by_equality(X, vertex), (X, vertex)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("X", [
+    np.vstack([np.zeros((5, 2)), [[5e-324, 0.0], [0.0, 5e-324], [1.0, 1.0]]]),
+    np.concatenate([np.zeros(5), np.full(3, 5e-324)])[:, None],
+], ids=["p2", "p1"])
+def test_median_on_a_point_with_subnormal_neighbours(X):
+    # 1 / 5e-324 overflows, the unit rows d_i / r_i do not: five rows at the
+    # origin outweigh resultants of norm 1 + sqrt(2) and 3, so it is optimal
+    assert _anchored_optimal_at(X, X[0])
+    res = spatial_median(X)
+    assert res.estimate.tolist() == [0.0] * X.shape[1]
+    assert res.converged and res.anchored

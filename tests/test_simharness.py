@@ -1,8 +1,8 @@
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -262,48 +262,196 @@ def test_workers_below_one_rejected(workers):
         run_qq_experiment(qq, workers=workers)
 
 
-class _SerialPool:
-    """Stand-in for a multiprocessing pool that maps in this process, so no
-    worker process starts; it runs the initializer once, as a worker would."""
+# ---------------------------------------------------------------------------
+# the fork dispatcher: each test forks in a fresh interpreter under a
+# timeout, so that a deadlock fails the test instead of stalling the suite
+# ---------------------------------------------------------------------------
 
-    def __init__(self, initializer=None, initargs=()):
-        if initializer is not None:
-            initializer(*initargs)
+DISPATCH_PRELUDE = """
+import json, os, signal, sys, time
+import signcov.simharness as harness
+from signcov import ExperimentConfig, InvalidInputError, write_result_csv
 
-    def __enter__(self):
-        return self
+PARENT = os.getpid()
+CONFIG = ExperimentConfig.from_json_dict(json.loads(sys.argv[1]))
+LOG = sys.argv[2]
+run_task = harness._run_task
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, items, chunksize=None):
-        return list(map(fn, items))
+def note(*record):  # one line per record, appended whole by each process
+    with open(LOG, "a") as fh:
+        fh.write(json.dumps([os.getpid(), *record]) + "\\n")
+
+
+def slow_parent(task):  # so that the children run most tasks
+    if os.getpid() == PARENT:
+        time.sleep(0.05)
+    note("task", task[2], task[3])
+    return run_task(task)
+
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def _dispatch(tmp_path, body):
+    """The last stdout line, as JSON, of the prelude plus body run in a fresh
+    interpreter on a table config of 12 one-block tasks, and the records
+    the run logged."""
+    config = small_table_config(replications=3 * 64)
+    log = tmp_path / "log.jsonl"
+    log.touch()
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", DISPATCH_PRELUDE + body,
+         json.dumps(config.to_json_dict()), str(log)],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    return json.loads(proc.stdout.splitlines()[-1]), records
 
 
 @pytest.mark.parametrize(
     "workers,cpus,expected",
     [(1000, 3, 3), (1000, 64, 12), (5, 64, 5), (2, None, None)],
 )
-def test_pool_capped_by_tasks_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
+def test_pool_capped_by_tasks_and_cpus(tmp_path, workers, cpus, expected):
     # 2 x 2 cells of 3 whole blocks, at most one block per task whenever
-    # the pool may have 3 or more workers: 12 tasks
+    # there may be 3 or more processes: 12 tasks
     cfg = small_table_config(replications=3 * 64)
     assert {harness._block_size(n, p) for p in cfg.p_grid for n in cfg.n_grid} == {64}
     serial = tmp_path / "serial.csv"
     write_result_csv(run_table_experiment(cfg, workers=1), serial)
-    sizes = []
+    out, _ = _dispatch(tmp_path, f"""
+forks, fork = [], os.fork
+def counting_fork():
+    pid = fork()
+    forks.extend([pid] if pid else [])
+    return pid
+harness.os.fork, harness.os.cpu_count = counting_fork, lambda: {cpus}
+write_result_csv(harness.run_experiment(CONFIG, workers={workers}), "{tmp_path / 'forked.csv'}")
+print(json.dumps({{"forks": len(forks), "no_child_left": no_child_left()}}))
+""")
+    # os.cpu_count() may report None: one process, no fork
+    assert out == {"forks": 0 if expected is None else expected - 1, "no_child_left": True}
+    assert (tmp_path / "forked.csv").read_bytes() == serial.read_bytes()
 
-    def pool(processes, initializer=None, initargs=()):
-        sizes.append(processes)
-        return _SerialPool(initializer, initargs)
 
-    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    pooled = tmp_path / "pooled.csv"
-    write_result_csv(run_table_experiment(cfg, workers=workers), pooled)
-    # os.cpu_count() may report None: one worker, no pool
-    assert sizes == ([] if expected is None else [expected])
-    assert pooled.read_bytes() == serial.read_bytes()
+def test_task_order_kept_when_children_run_most_tasks(tmp_path):
+    cfg = small_table_config(replications=3 * 64)
+    serial = tmp_path / "serial.csv"
+    write_result_csv(run_table_experiment(cfg, workers=1), serial)
+    out, records = _dispatch(tmp_path, f"""
+harness._run_task, harness.os.cpu_count = slow_parent, lambda: 3
+write_result_csv(harness.run_experiment(CONFIG, workers=3), "{tmp_path / 'forked.csv'}")
+print(json.dumps({{"parent": PARENT, "no_child_left": no_child_left()}}))
+""")
+    assert out["no_child_left"]
+    assert (tmp_path / "forked.csv").read_bytes() == serial.read_bytes()
+    runners = [pid for pid, *_ in records]
+    assert len(runners) == 12 and 2 * runners.count(out["parent"]) < len(runners)
+
+
+def test_every_replication_process_runs_at_one_blas_thread(tmp_path):
+    out, records = _dispatch(tmp_path, """
+controls = harness._openblas_thread_controls()
+for _, set_threads in controls:
+    set_threads(2)
+block_values = harness._block_values
+def recording(*args):
+    note([get() for get, _ in harness._openblas_thread_controls()],
+         os.environ.get("OPENBLAS_NUM_THREADS"))
+    return block_values(*args)
+harness._block_values, harness._run_task = recording, slow_parent
+harness.os.cpu_count = lambda: 2
+harness.run_experiment(CONFIG, workers=2)
+print(json.dumps({"parent": PARENT, "libraries": len(controls),
+                  "after": [get() for get, _ in controls],
+                  "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+""")
+    if not out["libraries"]:
+        pytest.skip("no OpenBLAS loaded")
+    blocks = [record for record in records if record[1] != "task"]
+    children = [env for pid, _, env in blocks if pid != out["parent"]]
+    # children inherit the pin and set the variable for an OpenBLAS loaded
+    # later; the parent's counts come back, its environment is untouched
+    assert blocks and all(threads == [1] * out["libraries"] for _, threads, _ in blocks)
+    assert children and set(children) == {"1"}
+    assert out["after"] == [2] * out["libraries"] and out["env"] is None
+
+
+def test_child_exception_reaches_the_caller(tmp_path):
+    out, _ = _dispatch(tmp_path, f"""
+def fail_in_child(task):
+    if os.getpid() != PARENT:
+        raise InvalidInputError("bad task " + str(task[2:4]))
+    return slow_parent(task)
+harness._run_task, harness.os.cpu_count = fail_in_child, lambda: 2
+try:
+    harness.run_experiment(CONFIG, workers=2)
+except Exception as exc:
+    error = [type(exc).__name__, str(exc)]
+from signcov.cli import main
+path = "{tmp_path / 'table.json'}"
+with open(path, "w") as fh:
+    json.dump(CONFIG.to_json_dict(), fh)
+code = main(["table", "--config", path, "--workers", "2", "--out", "{tmp_path / 'out'}"])
+print(json.dumps({{"error": error, "code": code, "no_child_left": no_child_left()}}))
+""")
+    assert out["error"][0] == "InvalidInputError" and out["error"][1].startswith("bad task (")
+    assert out["code"] == 2 and out["no_child_left"]
+
+
+def test_killed_child_raises(tmp_path):
+    out, _ = _dispatch(tmp_path, """
+def die_in_child(task):
+    if os.getpid() != PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return slow_parent(task)
+harness._run_task, harness.os.cpu_count = die_in_child, lambda: 2
+try:
+    harness.run_experiment(CONFIG, workers=2)
+except ChildProcessError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "no_child_left": no_child_left()}))
+""")
+    assert out["error"].endswith(f"wait status {signal.SIGKILL.value}") and out["no_child_left"]
+
+
+def test_parent_error_stops_and_reaps_children(tmp_path):
+    out, _ = _dispatch(tmp_path, """
+def fail_in_parent(items_index):
+    if os.getpid() == PARENT:
+        raise RuntimeError("parent failed")
+    time.sleep(60)
+start = time.perf_counter()
+try:
+    harness._forked_map(fail_in_parent, range(4), 2)
+except RuntimeError as exc:
+    error = str(exc)
+print(json.dumps({"error": error, "seconds": time.perf_counter() - start,
+                  "no_child_left": no_child_left()}))
+""")
+    assert out["error"] == "parent failed" and out["no_child_left"]
+    assert out["seconds"] < 30  # the sleeping child was killed, not awaited
+
+
+def test_more_tasks_than_a_pipe_holds(tmp_path):
+    # 4-byte indices queued all at once would fill a 64 KiB pipe at 16384;
+    # three processes outnumber the cores of a 2-core host
+    out, _ = _dispatch(tmp_path, """
+values = harness._forked_map(lambda i: i * i, range(20000), 3)
+print(json.dumps({"ok": values == [i * i for i in range(20000)],
+                  "no_child_left": no_child_left()}))
+""")
+    assert out == {"ok": True, "no_child_left": True}
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +508,8 @@ def test_replications_run_with_one_blas_thread_then_restore(
 
 
 def test_pin_leaves_libraries_at_one_thread_alone(blas_at_two_threads):
-    # a forked worker inherits the pin; setting it again would restart the
-    # BLAS thread pool the fork shut down
+    # a library already at one thread is left alone; setting it again would
+    # restart a BLAS thread pool that a fork shut down
     with harness._one_blas_thread():
         assert harness._pin_one_blas_thread() == []
     assert _blas_threads() == blas_at_two_threads
@@ -386,35 +534,6 @@ def test_csv_unchanged_where_no_openblas_is_found(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: [])
     write_result_csv(run_experiment(cfg, workers=1), unpinned)
     assert unpinned.read_bytes() == pinned.read_bytes()
-
-
-def test_pool_created_with_the_pin_initializer(monkeypatch, blas_at_two_threads):
-    initializers, seen = [], []
-
-    def pool(processes, initializer=None, initargs=()):
-        initializers.append(initializer)
-        return _SerialPool(initializer, initargs)
-
-    monkeypatch.setattr(harness.multiprocessing, "Pool", pool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_block_values", _recording_block_values(seen))
-    run_experiment(small_table_config(replications=3), workers=2)
-    assert initializers == [harness._pin_one_blas_thread]
-    assert seen and all(c == [1] * len(blas_at_two_threads) for c in seen)
-    assert _blas_threads() == blas_at_two_threads
-
-
-def test_pin_initializer_reaches_spawned_workers(monkeypatch, blas_at_two_threads):
-    # a spawned worker inherits nothing of the parent's BLAS state, only
-    # the environment: without the initializer it would run at 2 threads
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    spawn = multiprocessing.get_context("spawn")
-    with spawn.Pool(1) as pool:
-        unpinned = pool.apply_async(_blas_threads).get(timeout=120)
-    with spawn.Pool(1, initializer=harness._pin_one_blas_thread) as pool:
-        pinned = pool.apply_async(_blas_threads).get(timeout=120)
-    assert unpinned == blas_at_two_threads
-    assert pinned == [1] * len(blas_at_two_threads)
 
 
 # p=2 sweep at n=12000: above OpenBLAS's threading cut-offs for ddot
