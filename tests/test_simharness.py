@@ -359,16 +359,25 @@ print(json.dumps({{"parent": PARENT, "no_child_left": no_child_left()}}))
     assert len(runners) == 12 and 2 * runners.count(out["parent"]) < len(runners)
 
 
-def test_every_replication_process_runs_at_one_blas_thread(tmp_path):
+def test_pool_created_with_the_pin_initializer(tmp_path):
+    # the worker processes are forked after the pin, so every process that
+    # runs replications sees every loaded OpenBLAS at one thread
     out, records = _dispatch(tmp_path, """
 controls = harness._openblas_thread_controls()
 for _, set_threads in controls:
     set_threads(2)
-block_values = harness._block_values
+pin, fork, block_values = harness._pin_one_blas_thread, os.fork, harness._block_values
+def noting_pin():
+    pinned = pin()
+    note("pin")
+    return pinned
+def noting_fork():
+    note("fork")
+    return fork()
 def recording(*args):
-    note([get() for get, _ in harness._openblas_thread_controls()],
-         os.environ.get("OPENBLAS_NUM_THREADS"))
+    note("block", [get() for get, _ in harness._openblas_thread_controls()])
     return block_values(*args)
+harness._pin_one_blas_thread, harness.os.fork = noting_pin, noting_fork
 harness._block_values, harness._run_task = recording, slow_parent
 harness.os.cpu_count = lambda: 2
 harness.run_experiment(CONFIG, workers=2)
@@ -378,13 +387,45 @@ print(json.dumps({"parent": PARENT, "libraries": len(controls),
 """)
     if not out["libraries"]:
         pytest.skip("no OpenBLAS loaded")
-    blocks = [record for record in records if record[1] != "task"]
-    children = [env for pid, _, env in blocks if pid != out["parent"]]
-    # children inherit the pin and set the variable for an OpenBLAS loaded
-    # later; the parent's counts come back, its environment is untouched
-    assert blocks and all(threads == [1] * out["libraries"] for _, threads, _ in blocks)
-    assert children and set(children) == {"1"}
+    parent = [kind for pid, kind, *_ in records
+              if pid == out["parent"] and kind in ("pin", "fork")]
+    blocks = [(pid, threads) for pid, kind, *threads in records if kind == "block"]
+    assert parent == ["pin", "fork"]
+    assert {pid for pid, _ in blocks} - {out["parent"]}
+    assert all(threads == [[1] * out["libraries"]] for _, threads in blocks)
+    # the parent's counts come back, its environment is untouched
     assert out["after"] == [2] * out["libraries"] and out["env"] is None
+
+
+def test_pin_initializer_reaches_spawned_workers(tmp_path):
+    # a process started from a replication process inherits nothing of its
+    # BLAS state, only the environment: a forked child sets the variable, so
+    # that it starts at one thread; from the parent it starts at 2
+    out, records = _dispatch(tmp_path, """
+import subprocess
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+SPAWNED = ("import json, signcov.simharness as h; "
+           "print(json.dumps([get() for get, _ in h._openblas_thread_controls()]))")
+spawned_from = set()
+def spawning(task):
+    if os.getpid() not in spawned_from:
+        spawned_from.add(os.getpid())
+        proc = subprocess.run([sys.executable, "-c", SPAWNED],
+                              capture_output=True, text=True, check=True)
+        note("spawned", json.loads(proc.stdout))
+    return slow_parent(task)
+harness._run_task, harness.os.cpu_count = spawning, lambda: 2
+harness.run_experiment(CONFIG, workers=2)
+print(json.dumps({"parent": PARENT, "env": os.environ["OPENBLAS_NUM_THREADS"]}))
+""")
+    spawned = {pid: threads for pid, kind, threads in
+               (record for record in records if record[1] == "spawned")}
+    from_parent = spawned.pop(out["parent"])
+    if not from_parent:
+        pytest.skip("no OpenBLAS loaded")
+    assert from_parent == [2] * len(from_parent)
+    assert spawned and all(t == [1] * len(from_parent) for t in spawned.values())
+    assert out["env"] == "2"
 
 
 def test_child_exception_reaches_the_caller(tmp_path):
