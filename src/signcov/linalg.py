@@ -45,6 +45,11 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     0. The singularity-family experiments produce rows at extreme
     magnitudes routinely, hence the care.
     """
+    return _rescued_norms(X)[0]
+
+
+def _rescued_norms(X) -> tuple[np.ndarray, np.ndarray | None]:
+    """row_norms(X) and the mask of the rows it rescued, None if none."""
     X = np.asarray(X, dtype=float)
     if 0 < X.shape[-1] <= 2:  # per coordinate: the einsum's sum, x0*x0 (+ x1*x1)
         with np.errstate(over="ignore"):  # as quiet as the einsum; rescued below
@@ -54,18 +59,31 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     else:
         d2 = np.einsum("...j,...j->...", X, X)
     r = np.sqrt(d2)
-    # outside this range the plain sum of squares is zero, subnormal
-    # (reduced precision), or at overflow risk; two reductions settle the
-    # common all-in-range case (NaN sums fail it too)
+    bad = _out_of_range(d2)
+    if bad is not None:
+        r[bad] = _rescaled(X[bad])[1]
+    return r, bad
+
+
+def _out_of_range(d2: np.ndarray) -> np.ndarray | None:
+    """Mask of the sums of squares d2 outside [1e-280, 1e280], None if none.
+
+    Outside this range the plain sum of squares is zero, subnormal (reduced
+    precision), or at overflow risk; two reductions settle the common
+    all-in-range case (NaN sums fail it too)."""
     if d2.size == 0 or (d2.min() >= 1e-280 and d2.max() <= 1e280):
-        return r
-    bad = ~((d2 >= 1e-280) & (d2 <= 1e280))
-    sub = X[bad]
+        return None
+    return ~((d2 >= 1e-280) & (d2 <= 1e280))
+
+
+def _rescaled(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and norms of the rows of sub (k, p) at any magnitude, from
+    the rows divided by their max-abs entry; a zero row stays zero."""
     m = np.max(np.abs(sub), axis=1)
     safe = np.where(m > 0.0, m, 1.0)
     scaled = sub / safe[:, None]
-    r[bad] = safe * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-    return r
+    norm = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    return scaled / np.where(norm > 0.0, norm, 1.0)[:, None], safe * norm
 
 
 def spatial_sign(x) -> np.ndarray:
@@ -84,9 +102,11 @@ def spatial_signs(X: np.ndarray) -> np.ndarray:
     """Row-wise spatial signs of an n x p matrix, or of each slice of a
     (B, n, p) block; zero rows stay zero."""
     X = np.asarray(X, dtype=float)
-    r = row_norms(X)
-    safe = np.where(r > 0.0, r, 1.0)
-    return rowwise(np.divide, X, safe[..., None])
+    r, rescued = _rescued_norms(X)
+    U = rowwise(np.divide, X, np.where(r > 0.0, r, 1.0)[..., None])
+    if rescued is not None:  # X / r is no unit row once r is subnormal
+        U[rescued] = _rescaled(X[rescued])[0]
+    return U
 
 
 def sign_outer(x) -> np.ndarray:

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import require_finite, row_norms, rowwise
+from .linalg import require_finite, row_norms, rowwise, spatial_signs
 
 INITIALIZATIONS = ("componentwise_median", "mean")
 LOCATION_METHODS = ("mean", "median", "fixed")
@@ -46,6 +46,9 @@ LOCATION_METHODS = ("mean", "median", "fixed")
 # Second-singular-value ratio below which the sample is flagged as
 # (numerically) concentrated on a line, where the minimizer may be non-unique.
 _DEGENERATE_SV_RATIO = 1e-12
+
+# 1 / r overflows for radii r up to this one (about 5.6e-309)
+_OVERFLOW_RADIUS = 1.0 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,10 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
 
 def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum_i d_i / r_i, 1 / r) for radii r > 0: (1 / r) @ d, or where 1 / r_i
-    overflows (r_i < ~5.6e-309) the sum of the unit rows d_i / r_i."""
+    overflows (r_i < ~5.6e-309) the sum of the spatial signs of the rows d_i."""
     with np.errstate(over="ignore"):
         w = 1.0 / r
-    return (rowwise(np.divide, d, r[:, None]).sum(axis=0) if np.isinf(w).any() else w @ d), w
+    return (spatial_signs(d).sum(axis=0) if np.isinf(w).any() else w @ d), w
 
 
 def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,8 +256,9 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     # reach it exactly, so nearby vertices are tested directly: a passing
     # test identifies the minimizer (unique for non-collinear data) and the
     # iterate snaps onto it. A failed vertex is only retested once the
-    # iterate has halved its distance to it, bounding the extra passes.
-    snap_gate = 0.01 * scale
+    # iterate has halved its distance to it, bounding the extra passes. An
+    # iterate so close to a data point that 1 / r overflows is near too.
+    snap_gate = np.maximum(0.01 * scale, _OVERFLOW_RADIUS)
     tested_radius: dict[tuple[int, int], float] = {}
     # steps this far below the stopping resolution cannot be refining a
     # healthy iteration; two in a row without certification means the
@@ -293,7 +297,11 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
         if near.any():  # an iterate is near or on a data point
             nearest = r.argmin(axis=1)
             for j in np.flatnonzero(near):
-                if rmin[j] > 0.0:  # all radii positive
+                if 0.0 < rmin[j] <= _OVERFLOW_RADIUS:  # 1 / r overflows: move onto it
+                    y[j] = X[j, nearest[j]]
+                    diffs[j], r[j], _ = (a[0] for a in _radii(X[j:j + 1], y[j:j + 1]))
+                    rmin[j] = 0.0
+                elif rmin[j] > 0.0:  # all radii positive
                     key = (ids[j], nearest[j])
                     if rmin[j] < 0.5 * tested_radius.get(key, math.inf):
                         if _anchored_optimal_at(X[j], X[j, nearest[j]]):

@@ -10,7 +10,10 @@ Variants:
   (mean or spatial median), with a coincidence report.
 * ``ssscm``        -- symmetrized SSCM (spatial Kendall tau matrix): average
   over unordered pairs of the sign outer products of pairwise differences.
-  Location-free.
+  Location-free. Summed by tiles of at most K pairs, K set by (n, p) alone,
+  one gemm (D w) D^T each over the coordinate-major differences D with
+  weights w = 1/|d|^2 (0 on coincident pairs): memory is bounded by the
+  tile, not by n, and the bits are fixed by (n, p).
 
 Coincidence (an observation equal to the location) is always detected by
 exact floating-point equality of all coordinates.
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import require_finite, row_norms, rowwise, spatial_signs, symmetrize
+from .linalg import _out_of_range, _rescaled, require_finite, rowwise, spatial_signs, symmetrize
 from .location import (
     LocationResult,
     MedianOptions,
@@ -33,9 +36,10 @@ from .location import (
     spatial_median,  # noqa: F401 - bound for bench/ tracer tests
 )
 
-# Above this many pair-coordinates the symmetrized estimator accumulates in
-# row blocks instead of materializing all pairwise differences at once.
-_PAIR_BUFFER_LIMIT = 2_000_000
+# Caps on the symmetrized SSCM's tiles: entries of differences held at once, and m*n*k of
+# one gemm, which OpenBLAS runs on the calling thread (same bits) up to 4 * 65536.
+_PAIR_BUFFER_LIMIT = 2**15
+_SERIAL_GEMM = 2**18
 
 
 @dataclass
@@ -104,35 +108,29 @@ def sscm_plugin(
 
 
 def ssscm(X) -> ScatterMatrix:
-    """Symmetrized SSCM over unordered pairs i < j with X_i != X_j.
-
-    Ordered pairs would give the identical matrix since the sign outer
-    product is even in its argument, so the cheaper convention is used.
-    """
+    """Symmetrized SSCM over unordered pairs i < j with X_i != X_j, by tiles
+    (ordered pairs give the same matrix: the sign outer product is even)."""
     X = _as_sample(X)
     n, p = X.shape
     if n < 2:
         raise InvalidInputError("symmetrized SSCM needs at least 2 observations")
 
-    total_pairs = n * (n - 1) // 2
-    M = np.zeros((p, p))
-    pairs_used = 0
-    if total_pairs * p <= _PAIR_BUFFER_LIMIT:
-        ii, jj = np.triu_indices(n, k=1)
-        D = X[ii] - X[jj]
-        r = row_norms(D)
-        nz = r > 0.0
-        U = rowwise(np.divide, D[nz], r[nz, None])
-        M = U.T @ U
-        pairs_used = int(np.count_nonzero(nz))
-    else:
-        for i in range(n - 1):
-            D = rowwise(np.subtract, X[i + 1 :], X[i])
-            r = row_norms(D)
-            nz = r > 0.0
-            U = rowwise(np.divide, D[nz], r[nz, None])
-            M += U.T @ U
-            pairs_used += int(np.count_nonzero(nz))
+    K = max(1, min(_PAIR_BUFFER_LIMIT // p, _SERIAL_GEMM // (p * p)))  # pairs per tile
+    XT, M, pairs_used, a, c = np.ascontiguousarray(X.T), np.zeros((p, p)), 0, 0, 1
+    with np.errstate(over="ignore", divide="ignore"):  # d2 is rescued below
+        while a < n - 1:  # rows [a, b) by columns [c, e); c > a + 1 only if b = a + 1
+            b, e = min(n - 1, a + max(1, K // (n - a - 1))), min(n, c + K)
+            D = XT[:, a:b, None] - XT[:, None, c:e]
+            later = np.arange(c, e) > np.arange(a, b)[:, None]  # the pairs i < j
+            d2 = np.where(later, np.einsum("kij,kij->ij", D, D), 1.0)
+            bad = _out_of_range(d2)
+            w = later / d2
+            if bad is not None:  # unit signs by max-entry rescaling, as row_norms
+                U = _rescaled(D[:, bad].T)[0]
+                D[:, bad], w[bad] = U.T, U.any(axis=1)  # w 0 on exact coincidence
+            pairs_used += int(np.count_nonzero(w))
+            M += (D * w).reshape(p, -1) @ D.reshape(p, -1).T
+            a, c = (a, e) if e < n else (b, b + 1)
 
     if pairs_used == 0:
         raise DegenerateSampleError("all observations are identical")

@@ -53,3 +53,20 @@ def signed_zero_corpus():
         np.array([[-2.0, mz], [2.0, mz], [mz, 3.0], [mz, -3.0]]),
         np.array([[mz, 0.0], [0.0, mz]]),
     ]
+
+
+def ssscm_direct(X):
+    """Symmetrized SSCM by a plain loop over the pairs i < j: the mean of
+    the sign outer products of X_i - X_j over the pairs with X_i != X_j,
+    and the number of those pairs."""
+    from signcov import sign_outer
+
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    M, pairs = np.zeros((p, p)), 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.any(X[i] != X[j]):
+                M += sign_outer(X[i] - X[j])
+                pairs += 1
+    return M / pairs, pairs

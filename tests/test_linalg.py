@@ -15,6 +15,7 @@ from signcov import (
     sign_outer,
     spatial_sign,
     spatial_signs,
+    sscm_star,
     vec,
 )
 from signcov.linalg import rowwise
@@ -47,6 +48,18 @@ def test_spatial_signs_rowwise_matches_scalar():
     U = spatial_signs(X)
     for i in range(X.shape[0]):
         np.testing.assert_allclose(U[i], spatial_sign(X[i]), atol=1e-14)
+
+
+def test_spatial_signs_of_rows_with_a_subnormal_norm_are_unit():
+    # the rescued norm is subnormal, so X / r alone is no unit row
+    X = np.array([[5e-324, -5e-324], [3e-320, 1e-320], [0.0, 0.0], [3.0, 4.0]])
+    U = spatial_signs(X)
+    np.testing.assert_allclose(np.einsum("ij,ij->i", U, U), [1.0, 1.0, 0.0, 1.0],
+                               atol=1e-15)
+    for i in range(X.shape[0]):
+        np.testing.assert_allclose(U[i], spatial_sign(X[i]), atol=1e-15)
+    S = sscm_star(np.array([[5e-324, -5e-324], [1.0, 0.0]]), [0.0, 0.0])
+    assert np.trace(S.matrix) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_vec_column_stacking():

@@ -515,6 +515,20 @@ def test_vertex_test_matches_coordinate_equality_oracle(p):
 
 
 @pytest.mark.filterwarnings("error")
+def test_median_near_a_point_within_overflow_of_its_reciprocal_is_finite():
+    # an iterate within ~5.6e-309 of a data point, not on it, overflows the
+    # weights 1 / r; it counts as on that point, which certifies or steps
+    # off, so no estimate is NaN and nothing warns
+    rng = np.random.default_rng(0)
+    values = np.array([0.0, 5e-324, -5e-324, 1e-323, 3e-310, -3e-310, 1.0, -1.0, 2.0, 0.5])
+    samples = [np.array([[0.0, 2.0, 0.0], [-3e-310, 0.0, -5e-324], [3e-310, 3e-310, 3e-310]])]
+    samples += [rng.choice(values, size=(rng.integers(2, 10), rng.integers(1, 4)))
+                for _ in range(400)]
+    for X in samples:
+        assert np.isfinite(spatial_median(X).estimate).all(), X
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("X", [
     np.vstack([np.zeros((5, 2)), [[5e-324, 0.0], [0.0, 5e-324], [1.0, 1.0]]]),
     np.concatenate([np.zeros(5), np.full(3, 5e-324)])[:, None],

@@ -1,5 +1,10 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signcov import (
     DegenerateSampleError,
@@ -18,7 +23,8 @@ from signcov import (
     sscm_star,
     ssscm,
 )
-from _oracles import random_orthogonal
+from signcov import scatter
+from _oracles import random_orthogonal, ssscm_direct
 
 
 def test_sscm_fixed_single_observation():
@@ -116,19 +122,83 @@ def test_ssscm_spherical_gaussian_limit():
     assert abs(S[0, 0] - 0.5) <= 0.017
 
 
-def test_ssscm_blocked_path_matches_buffered():
-    from signcov import scatter
-
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((60, 4))
-    full = ssscm(X).matrix
+@contextlib.contextmanager
+def _pair_buffer_limit(limit):
+    """Run the body with the symmetrized SSCM's tiles sized by limit."""
     old = scatter._PAIR_BUFFER_LIMIT
-    scatter._PAIR_BUFFER_LIMIT = 1  # force row-block accumulation
+    scatter._PAIR_BUFFER_LIMIT = limit
     try:
-        blocked = ssscm(X).matrix
+        yield
     finally:
         scatter._PAIR_BUFFER_LIMIT = old
+
+
+def test_ssscm_blocked_path_matches_buffered():
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((60, 4))
+    full = ssscm(X).matrix  # one tile of all 1770 pairs
+    with _pair_buffer_limit(1):  # one pair per tile
+        blocked = ssscm(X).matrix
     np.testing.assert_allclose(blocked, full, atol=1e-14)
+
+
+@given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 10_000),
+       st.sampled_from([0, 1, 3, None]))
+@settings(max_examples=80, deadline=None)
+def test_ssscm_matches_pair_loop_oracle(n, p, seed, rows):
+    # tiles of one pair (rows 0), one row, three rows, or the default (one
+    # tile at these sizes); integer rows repeat, so coincident pairs occur
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-2, 3, size=(n, p)) * 0.5
+    X[rng.random(n) < 0.5] = rng.standard_normal(p)
+    assume(not np.all(X == X[0]))
+    expected, pairs = ssscm_direct(X)
+    limit = scatter._PAIR_BUFFER_LIMIT if rows is None else max(1, rows * p * (n - 1))
+    with _pair_buffer_limit(limit):
+        S = ssscm(X)
+    assert S.n_effective == pairs
+    np.testing.assert_allclose(S.matrix, expected, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-1000, 5e-324])
+def test_ssscm_at_extreme_magnitudes(scale):
+    # squared distances over- or underflow at every scale here (at 5e-324
+    # the rows are integer multiples of the smallest subnormal, exact), yet
+    # each distinct pair still gives a unit sign and coincident rows none
+    rng = np.random.default_rng(12)
+    X = rng.integers(-3, 4, size=(15, 3)).astype(float)
+    if scale != 5e-324:
+        X += rng.standard_normal(X.shape)
+    X[4] = X[9]
+    base = ssscm(X)
+    S = ssscm(X * scale)
+    assert S.n_effective == base.n_effective == 15 * 14 // 2 - 1
+    assert np.trace(S.matrix) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(S.matrix, base.matrix, atol=1e-12)
+
+
+def test_ssscm_memory_bounded_by_its_tiles():
+    X = np.random.default_rng(13).standard_normal((890, 5))
+    ssscm(X[:10])  # warm imports and caches
+    tracemalloc.start()
+    try:
+        ssscm(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_ssscm_bits_independent_of_blas_threads():
+    # at p = 40 a tile of 2**15 entries would cross OpenBLAS's threading cut
+    from signcov.simharness import _one_blas_thread
+
+    X = np.random.default_rng(14).standard_normal((300, 40))
+    default = ssscm(X).matrix
+    with _one_blas_thread():
+        single = ssscm(X).matrix
+    np.testing.assert_array_equal(single, default)
 
 
 def test_ssscm_all_identical_degenerate():
