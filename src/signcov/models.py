@@ -10,7 +10,8 @@ Three generator families are supported:
   mu = 0, V = I, which the constructor enforces.
 
 ``sign_moments`` gives the exact sign moments of any elliptical law by 1-D
-quadrature: its population SSCM and every element's limit variance.
+Gauss-Legendre quadrature (15-node panels, bisected to 1e-14 of the largest
+moment): its population SSCM and every element's limit variance.
 
 Randomness is pinned to numpy's Philox counter-based bit generator. A
 SeededStream(master_seed, stream_index) maps to
@@ -26,7 +27,6 @@ reference path's bits.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,11 +299,11 @@ def sign_moments(V) -> SignMoments:
     g = prod_k (1 + 2 t lam_k)^(-1/2) (Duerre, Tyler & Vogel 2016):
     E[w_a^2] = int_0^inf h_a g dt and fourth[a, b] = int_0^inf t h_a h_b g dt,
     integrated over s = (1 + 2t)^(-1/2) in [0, 1] with lam scaled to max 1
-    (smooth integrands; polynomials when V ~ I) by one vector-valued adaptive
-    Gauss-Kronrod quadrature, to about 1e-16.
+    (smooth integrands, at most 1; polynomials when V ~ I) by 15-node
+    Gauss-Legendre panels, each bisected until the rule on its halves agrees
+    with the rule on it within 1e-14 of the largest moment. A panel's fourth
+    moments are one gemm K^T diag(omega) K over its nodes: memory ~ panels p^2.
     """
-    from scipy.integrate import quad_vec  # loaded on first use: slow to import
-
     V = require_finite(V, "V")
     if V.ndim != 2 or not 0 < V.shape[0] == V.shape[1]:
         raise InvalidInputError("V must be a square matrix")
@@ -311,17 +311,29 @@ def sign_moments(V) -> SignMoments:
     if not np.all(lam > 0.0):
         raise InvalidInputError("V must be positive definite")
     lam = lam / lam.max()
-    p = lam.size
+    nodes, weights = np.polynomial.legendre.leggauss(15)
 
-    def integrand(s):  # the t-integrands times |dt/ds|, t = (1/s^2 - 1) / 2
-        d = lam + (1.0 - lam) * (s * s)  # (1 + 2 t lam) s^2
-        k = lam / d
-        w = s ** (p - 1) * math.exp(-0.5 * np.log(d).sum())
+    def rule(lo, hi):  # per panel: [second; fourth] (p + 1, p), t-integrands times |dt/ds|
+        h = 0.5 * (hi - lo)[:, None]
+        s = 0.5 * (hi + lo)[:, None] + h * nodes  # t = (1/s^2 - 1) / 2
+        d = lam + (1.0 - lam) * (s * s)[..., None]  # (1 + 2 t lam) s^2
+        w = h * weights * np.prod(s[..., None] / np.sqrt(d), axis=-1) / s  # s^(p-1) g
+        K = lam / d
         tw = 0.5 * (1.0 - s * s) * w  # t s^2 w
-        return np.concatenate([w * k, tw * np.outer(k, k).ravel()])
+        return np.concatenate([w[:, None], (K * tw[..., None]).transpose(0, 2, 1)], 1) @ K
 
-    values, _ = quad_vec(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-    return SignMoments(Q, values[:p], values[p:].reshape(p, p))
+    lo, hi, total = np.zeros(1), np.ones(1), 0.0
+    whole = rule(lo, hi)
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        halves = rule(lo, hi)
+        pair = halves[: mid.size] + halves[mid.size:]
+        tol = 1e-14 * np.abs(total + whole.sum(axis=0)).max()
+        keep = np.tile(np.abs(pair - whole).max(axis=(1, 2)) > tol, 2)
+        total = total + pair[~keep[: mid.size]].sum(axis=0)
+        lo, hi, whole = lo[keep], hi[keep], halves[keep]
+    return SignMoments(Q, total[0], total[1:])
 
 
 def population_sscm_mc(

@@ -126,7 +126,10 @@ def ssscm(X) -> ScatterMatrix:
             bad = _out_of_range(d2)
             w = later / d2
             if bad is not None:  # unit signs by max-entry rescaling, as row_norms
-                U = _rescaled(D[:, bad].T)[0]
+                sub, (i, j) = D[:, bad], np.nonzero(bad)
+                over = np.isinf(sub).any(axis=0)  # halved, such a pair's difference is finite
+                sub[:, over] = 0.5 * XT[:, a + i[over]] - 0.5 * XT[:, c + j[over]]
+                U = _rescaled(sub.T)[0]
                 D[:, bad], w[bad] = U.T, U.any(axis=1)  # w 0 on exact coincidence
             pairs_used += int(np.count_nonzero(w))
             M += (D * w).reshape(p, -1) @ D.reshape(p, -1).T

@@ -252,9 +252,8 @@ def ks_statistic(sample_values, sigma2: float) -> float:
         raise InvalidInputError("sample must be nonempty")
     if not sigma2 > 0:
         raise InvalidInputError("sigma2 must be positive")
-    from scipy.special import ndtr  # loaded on first use: slow to import
-
-    F = ndtr(x / math.sqrt(sigma2))
+    z = (x / math.sqrt(sigma2)).tolist()
+    F = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])  # the N(0, 1) CDF
     n = x.size
     upper = np.arange(1, n + 1) / n - F
     lower = F - np.arange(0, n) / n
@@ -489,7 +488,7 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
     so the reference draws nothing and is the same for every seed; the
     extras record where each came from.
     """
-    from scipy.special import ndtri  # the N(0, 1) quantile, as in scipy.stats.norm
+    from statistics import NormalDist  # loaded on first use, before the clock
 
     model = config.model
     i, j = config.element
@@ -508,7 +507,8 @@ def _qq_reference(config) -> tuple[dict, tuple[float, np.ndarray]]:
         "population_element": float(S_pop.matrix[i, j]),
         "population_source": pop_source,
     }
-    return extras, (sigma2, ndtri(probs) * math.sqrt(sigma2))
+    quantiles = np.array([NormalDist().inv_cdf(q) for q in probs])
+    return extras, (sigma2, quantiles * math.sqrt(sigma2))
 
 
 @dataclass(frozen=True)
@@ -586,10 +586,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers < 1:
         raise InvalidInputError("workers must be at least 1")
     if config.statistic == "qq":
-        # scipy loads on first use; load the reference's modules before the
-        # clock, so that wall_time counts replications and reference only
-        import scipy.integrate  # noqa: F401
-        import scipy.special  # noqa: F401
+        # load the modules the reference and the replications load on first
+        # use before the clock, so that wall_time counts no import
+        import numpy.polynomial  # noqa: F401
+        import numpy.random  # noqa: F401
+        import statistics  # noqa: F401
     start = time.perf_counter()
     stat = STATISTICS[config.statistic]
     extras, reference = _qq_reference(config) if config.statistic == "qq" else ({}, None)

@@ -42,6 +42,17 @@ its sum changed order and its entries on the fixture moved by up to 4 ulps
 once: ``estimate_star_symmetrized_asymptotics`` and
 ``estimate_symmetrized_csv``. Every other digest held.
 
+When the qq reference moved off scipy (the sign moments by numpy
+Gauss-Legendre panels instead of ``quad_vec``, the reference quantiles from
+``statistics.NormalDist().inv_cdf`` instead of ``ndtri`` and the KS CDF from
+``math.erfc`` instead of ``ndtr``), the three qq digests that read the
+reference column or the KS distances were re-recorded once: the qq CSV, its
+median-free rows and the qq metadata. On the golden config sigma^2 held at
+``0x1.db3d742c26550p-4``, 19 of the 30 reference quantiles moved by at most 4
+ulps, and one of the six KS distances moved by one ulp (0.1946255255123734 to
+0.19462552551237333), which the metadata records in full; the summary lines,
+the qq empirical column and both oracle digests held.
+
 Running this file as a script prints the digests of the code on the path,
 which is how they are re-recorded (on the previous commit, same machine)
 after such an upgrade.
@@ -232,7 +243,7 @@ CSV_DIGESTS = {
     "sweep":
         "9215bb5d191bfbd16f233c13da99eeb9acb312bc93c934c7637732167e73471b",
     "qq":
-        "b8233386ce603c92e6444c9a9cdac2c0cb7a12b5985e7a45941228fe30c3b665",
+        "b0b157349d74aed54d4b892ab5617a0ec0737ba91518b21bce3660c079eb1a63",
 }
 
 
@@ -283,7 +294,7 @@ MEDIAN_FREE_CSV_DIGESTS = {
     "sweep":
         "5f0e0afbf772783306ea870a5b2fcc6533e8c975f67b7e17ed7543c947178de7",
     "qq":
-        "b6c7a54050c8c49aa868d4162c8650b5d82a77ca5247b0bef32a198d28a91996",
+        "e8fac70405e372c19e764da5e29c507231a215522f47a21721b53b5c1eea9922",
 }
 
 
@@ -444,7 +455,7 @@ def experiment_cli_digests(workdir, statistic) -> tuple[str, str]:
 # (metadata, summary) per statistic
 EXPERIMENT_CLI_DIGESTS = {
     "qq": (
-        "1ad6ec3e1089929cd74a37fa9885fb82ea1679ccb1e1e33a2e73d0899d3fe580",
+        "4be02ad4b75a76f2fdf93fdcb1a403f46f05ef3a7d7bd7b2a313b0f66c4351fd",
         "7509ad82a4315a288bc464f9e81e2a7a3ba9f1fe62a46df0d9a4879b16c0ec8a",
     ),
     "sweep": (

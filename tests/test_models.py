@@ -366,6 +366,48 @@ def test_sign_moments_match_monte_carlo(p):
         assert abs(m.element_variance(i, j) - element_variance(W, i, j)) <= 4.0 * mc_se
 
 
+def _shape_with_condition(p, cond, seed):
+    lam = np.geomspace(1.0, cond, p)
+    R = random_orthogonal(np.random.default_rng(seed), p)
+    V = (R * lam) @ R.T
+    return (V + V.T) / 2.0
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e8])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10, 12])
+def test_sign_moments_match_gauss_kronrod(p, cond):
+    # the same s-integrals by scipy's adaptive Gauss-Kronrod quad_vec; errors
+    # are relative to the largest entry, the scale of the quadrature tolerance
+    V = _shape_with_condition(p, cond, 90 + p)
+    m = sign_moments(V)
+    lam = np.linalg.eigh(V)[0]
+    lam = lam / lam.max()
+
+    def integrand(s):
+        d = lam + (1.0 - lam) * (s * s)
+        k = lam / d
+        w = s ** (p - 1) * math.exp(-0.5 * np.log(d).sum())
+        return np.concatenate([w * k, 0.5 * (1.0 - s * s) * w * np.outer(k, k).ravel()])
+
+    values, _ = integrate.quad_vec(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    second, fourth = values[:p], values[p:].reshape(p, p)
+    assert np.abs(m.second - second).max() <= 1e-13 * np.abs(second).max()
+    assert np.abs(m.fourth - fourth).max() <= 1e-13 * np.abs(fourth).max()
+
+
+def test_sign_moments_memory_grows_with_panels_not_nodes():
+    # a (15, p, p) outer-product block per panel alone would take 10.8 MB at p = 300
+    V = _shape_with_condition(300, 1e8, 91)
+    sign_moments(V[:3, :3])  # warm imports and caches
+    tracemalloc.start()
+    try:
+        sign_moments(V)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
+
+
 def test_sign_moments_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         sign_moments(np.ones((2, 3)))

@@ -178,6 +178,17 @@ def test_ssscm_at_extreme_magnitudes(scale):
     np.testing.assert_allclose(S.matrix, base.matrix, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ssscm_difference_overflow():
+    # X_0 - X_1 overflows to inf; the pair is distinct, so it still counts
+    # and gives the unit sign (1, 0), as do the two pairs with (0, 1)
+    S = ssscm(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]))
+    assert S.n_effective == 3
+    assert np.all(np.isfinite(S.matrix))
+    assert np.trace(S.matrix) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(S.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+
+
 def test_ssscm_memory_bounded_by_its_tiles():
     X = np.random.default_rng(13).standard_normal((890, 5))
     ssscm(X[:10])  # warm imports and caches

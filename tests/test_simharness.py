@@ -6,9 +6,11 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import signcov.simharness as harness
@@ -62,6 +64,29 @@ def test_ks_statistic_symmetric_reference():
     rng = np.random.default_rng(61)
     x = rng.normal(size=500)
     assert ks_statistic(-x, 1.0) == pytest.approx(ks_statistic(x, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [62, 63, 64])
+def test_ks_statistic_matches_scipy_ndtr(seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.standard_t(3.0, size=700) * 1.7)
+    sigma2 = rng.uniform(0.5, 4.0)
+    F, n = ndtr(x / np.sqrt(sigma2)), x.size
+    expected = max((np.arange(1, n + 1) / n - F).max(), (F - np.arange(n) / n).max())
+    assert abs(ks_statistic(x, sigma2) - expected) <= 1e-15
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 7, 100, 10_000])
+def test_qq_reference_quantiles_match_scipy_ndtri(R, monkeypatch):
+    # at sigma^2 = 1 the reference column is the N(0, 1) quantiles themselves
+    unit = SimpleNamespace(element_variance=lambda i, j: 1.0)
+    monkeypatch.setattr(harness, "sign_moments", lambda V: unit)
+    config = ExperimentConfig(statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE),
+                              n_grid=(5,), replications=R, master_seed=1)
+    sigma2, reference = harness._qq_reference(config)[1]
+    expected = ndtri((np.arange(1, R + 1) - 0.5) / R)
+    assert sigma2 == 1.0
+    assert np.all(np.abs(reference - expected) <= 1e-15 * np.abs(expected))
 
 
 def test_ks_statistic_validation():
@@ -615,7 +640,7 @@ def test_sweep_csv_independent_of_blas_threads(tmp_path):
     assert len(set(digests.values())) == 1, digests
 
 
-# records the scipy modules loaded at each clock reading of a qq run
+# records the modules loaded at each clock reading of a qq run
 QQ_CLOCK_PROBE = """
 import json, sys
 import signcov.simharness as harness
@@ -623,7 +648,7 @@ from signcov import ExperimentConfig, gaussian_model
 
 seen, clock = [], harness.time.perf_counter
 def recording():
-    seen.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    seen.append(sorted(sys.modules))
     return clock()
 harness.time.perf_counter = recording
 harness.run_experiment(ExperimentConfig(
@@ -635,9 +660,11 @@ print(json.dumps(seen))
 
 
 def test_qq_scipy_loads_before_the_clock():
-    # scipy loads on first use; had it loaded inside the clock, wall_time
-    # and the rate derived from it would count the import. Only a fresh
-    # interpreter shows this: the test process has long loaded scipy.
+    # the reference and the replications load modules on first use (the
+    # Gauss-Legendre rule, the normal quantiles, the Philox streams); had one
+    # loaded inside the clock, wall_time and the rate derived from it would
+    # count the import. Only a fresh interpreter shows this: the test
+    # process has long loaded them all.
     src = str(Path(harness.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", QQ_CLOCK_PROBE],
@@ -645,7 +672,8 @@ def test_qq_scipy_loads_before_the_clock():
         capture_output=True, text=True, check=True, timeout=300,
     )
     start, *_, stop = json.loads(proc.stdout)
-    assert {"scipy.integrate", "scipy.special"} <= set(start)
+    assert "numpy.random" in start
+    assert not {"scipy.integrate", "scipy.special"} & set(start)
     assert stop == start
 
 
