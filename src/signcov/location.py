@@ -227,10 +227,11 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
 
 def _componentwise_medians(X: np.ndarray) -> np.ndarray:
     """np.median(X, axis=1) of a finite block X (B, n, p) bit for bit, without
-    its NaN check's numpy.ma import; it averages from +0.0 (-0.0 -> +0.0)."""
+    its NaN check's numpy.ma import; it averages from +0.0 (-0.0 -> +0.0). One
+    selection serves: at even n the lower middle value is the largest below k."""
     k, odd = divmod(X.shape[1], 2)
-    part = np.partition(X, k if odd else (k - 1, k), axis=1)
-    return 0.0 + part[:, k] if odd else (0.0 + part[:, k - 1] + part[:, k]) / 2
+    part = np.partition(X, k, axis=1)
+    return 0.0 + part[:, k] if odd else (0.0 + part[:, :k].max(axis=1) + part[:, k]) / 2
 
 
 def _spatial_medians(X: np.ndarray, opts: MedianOptions):
@@ -255,11 +256,11 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     # The steps approach an optimal data point only sublinearly and never
     # reach it exactly, so nearby vertices are tested directly: a passing
     # test identifies the minimizer (unique for non-collinear data) and the
-    # iterate snaps onto it. A failed vertex is only retested once the
-    # iterate has halved its distance to it, bounding the extra passes. An
+    # iterate snaps onto it. The test reads the sample and the vertex only,
+    # never the iterate, so a vertex that failed is not tested again. An
     # iterate so close to a data point that 1 / r overflows is near too.
     snap_gate = np.maximum(0.01 * scale, _OVERFLOW_RADIUS)
-    tested_radius: dict[tuple[int, int], float] = {}
+    failed: set[tuple[int, int]] = set()  # (slice id, row) of failed vertices
     # steps this far below the stopping resolution cannot be refining a
     # healthy iteration; two in a row without certification means the
     # iterate is pinned by extreme mass concentration
@@ -303,12 +304,12 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
                     rmin[j] = 0.0
                 elif rmin[j] > 0.0:  # all radii positive
                     key = (ids[j], nearest[j])
-                    if rmin[j] < 0.5 * tested_radius.get(key, math.inf):
+                    if key not in failed:
                         if _anchored_optimal_at(X[j], X[j, nearest[j]]):
                             y[j] = X[j, nearest[j]]
                             done[j] = ok[j] = True
                         else:
-                            tested_radius[key] = rmin[j]
+                            failed.add(key)
                     continue
                 # zero radius <=> exact coordinate coincidence with a data point
                 active = r[j] > 0.0

@@ -23,8 +23,8 @@ starting at multiples of B within a cell (64 at n = 30, p = 10; 1 at n =
 (B, p, p) within 2**15 elements unless one alone is larger. A task is a run
 of whole blocks, so ``--workers`` never moves a block boundary, and each
 slice gets the bits it gets alone (see the ``location`` module docstring).
-Tasks run in this process and in children forked after the OpenBLAS pin,
-which inherit it, the config and the payloads; only values come back.
+Tasks run here and in children forked after the OpenBLAS pin and malloc
+thresholds, which inherit both, the config and the payloads; values come back.
 """
 
 from __future__ import annotations
@@ -280,6 +280,14 @@ def _table_values(c, payload, U) -> np.ndarray:
     return n * (S * S).reshape(B, -1).sum(axis=1)
 
 
+def _block_means(X) -> np.ndarray:
+    """X.mean(axis=1) of a block X (B, n, p) bit for bit. At p = 2 numpy adds
+    the rows in order, so a running sum per coordinate has its bits, faster."""
+    if X.shape[2] != 2:  # at p = 1 numpy sums pairwise
+        return X.mean(axis=1)
+    return np.add.accumulate(X.transpose(2, 0, 1), axis=2)[..., -1].T / X.shape[1]
+
+
 def _block_values(config, payload, X) -> np.ndarray:
     """Replication values (B, n_methods) of a block of samples (B, n, p):
     the statistic of the block's spatial signs about each location."""
@@ -289,7 +297,7 @@ def _block_values(config, payload, X) -> np.ndarray:
         if method == "known":  # the model's center
             t = payload["model"].mu
         elif method == "mean":
-            t = X.mean(axis=1)[:, None]
+            t = _block_means(X)[:, None]
         else:
             t = _spatial_medians(X, config.median_options)[0][:, None]
         out[:, k] = value(config, payload, spatial_signs(rowwise(np.subtract, X, t)))
@@ -355,6 +363,16 @@ def _pin_one_blas_thread() -> list:
     return pinned
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed temporaries in glibc's heap, where large-n replications reuse
+    faulted-in pages. Set both: one ends the dynamic thresholds (max 32 MiB,
+    trim at 2x). glibc cannot report or undo them, so they stay set."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # no mallopt
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with every loaded OpenBLAS at one thread, then restore
@@ -363,7 +381,8 @@ def _one_blas_thread():
     A threaded BLAS reduction rounds by its split, which follows the thread
     count, so pinning makes the replication values independent of the host;
     it also keeps BLAS threads from oversubscribing the CPUs. Children
-    forked in the body inherit the pin."""
+    forked in the body inherit the pin and the malloc thresholds."""
+    _keep_freed_heap()
     pinned = _pin_one_blas_thread()
     try:
         yield
@@ -657,8 +676,6 @@ def write_result_csv(result: ExperimentResult, path) -> None:
 
 
 def write_metadata_json(result: ExperimentResult, path) -> None:
-    import scipy
-
     from . import __version__
 
     meta = {
@@ -669,7 +686,6 @@ def write_metadata_json(result: ExperimentResult, path) -> None:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "signcov": __version__,
         },
         "wall_time": result.wall_time,

@@ -444,7 +444,7 @@ def test_unknown_flag_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# start-up: no command but the metadata writer loads scipy
+# start-up: no command loads scipy
 # ---------------------------------------------------------------------------
 
 # imports signcov.cli, runs the command in argv if there is one, and prints
@@ -493,9 +493,9 @@ def test_cli_import_loads_no_multiprocessing():
 def test_forked_table_prints_its_summary_once(tmp_path):
     # a child that returned into the CLI, or flushed the parent's stdout
     # buffer on exit, would print the summary twice into the pipe
-    code, out, _ = run_fresh(["table", "--config", table_config(tmp_path), "--fast",
-                              "--workers", "2", "--out", str(tmp_path / "out")])
-    assert code == 0
+    code, out, modules = run_fresh(["table", "--config", table_config(tmp_path), "--fast",
+                                    "--workers", "2", "--out", str(tmp_path / "out")])
+    assert (code, modules) == (0, [])
     assert out.count("p n method mean se\n") == 1 and out.count("artifacts: ") == 1
 
 
@@ -565,11 +565,11 @@ def test_qq_in_fresh_interpreter(tmp_path, capsys):
         argv = ["qq", "--config", cfg_path, "--out", str(out_dir)]
         code, out, loaded = run_fresh(argv) if where == "fresh" else run(capsys, argv)
         assert code == 0
-        if where == "fresh":  # the metadata reads scipy's version, nothing more
-            assert not {"scipy.integrate", "scipy.special"} & set(loaded)
+        if where == "fresh":  # no scipy module, the metadata writer's included
+            assert loaded == []
         meta = json.loads((out_dir / "qq_metadata.json").read_text())
         del meta["wall_time"]
         summary = out.replace(str(out_dir), "OUT")
         outputs[where] = ((out_dir / "qq.csv").read_bytes(), meta, summary)
     assert outputs["fresh"] == outputs["in_process"]
-    assert outputs["fresh"][1]["versions"]["scipy"]
+    assert "scipy" not in outputs["fresh"][1]["versions"]

@@ -20,6 +20,7 @@ from signcov import (
     spatial_signs,
     sscm_plugin,
 )
+import signcov.location
 from signcov.linalg import row_norms, rowwise
 from signcov.location import _anchored_optimal_at, _componentwise_medians, _spatial_medians
 from _oracles import (
@@ -359,6 +360,32 @@ def test_componentwise_medians_match_np_median_bitwise():
         expected = np.median(X, axis=1)
         assert _componentwise_medians(X).view(np.int64).tobytes() == \
             expected.view(np.int64).tobytes()
+
+
+def test_failed_vertex_is_not_tested_again(monkeypatch):
+    # the vertex test reads the sample and the vertex only, so a retest could
+    # only fail again; at gamma = 0.05 the iterate keeps nearing failed vertices
+    tested = []
+    test = signcov.location._anchored_optimal_at
+    monkeypatch.setattr(signcov.location, "_anchored_optimal_at",
+                        lambda X, v: tested.append(v.tobytes()) or test(X, v))
+    for k in range(3):
+        tested.clear()
+        spatial_median(sample(singularity_model(0.05, 2), 200, SeededStream(7, k)))
+        assert tested and len(set(tested)) == len(tested)
+
+
+# few distinct values, so that ties and both signed zeros are common
+_TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(1, 3), st.data())
+def test_componentwise_medians_match_np_median_on_ties(B, n, p, data):
+    # the one selection at k gives np.median's bits at odd and even n alike
+    X = data.draw(arrays(float, (B, n, p), elements=_TIED_VALUES | st.floats(-10, 10)))
+    assert _componentwise_medians(X).view(np.int64).tobytes() == \
+        np.median(X, axis=1).view(np.int64).tobytes()
 
 
 @pytest.mark.parametrize("initialization", ["componentwise_median", "mean"])

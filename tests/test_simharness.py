@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -273,6 +274,23 @@ def test_block_values_match_one_replication_at_a_time(case):
     block = harness._block_values(config, payload, X)
     one_by_one = np.vstack([harness._block_values(config, payload, x[None]) for x in X])
     assert block.shape == (9, 3) and block.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 16])
+@pytest.mark.parametrize("n", [1, 2, 1000, 20_000])
+def test_p2_block_means_match_numpy_mean_bitwise(B, n):
+    rng = np.random.default_rng(1000 * B + n)
+    for scale in (1e-3, 1.0, 1e5):
+        X = scale * rng.standard_normal((B, n, 2))
+        assert harness._block_means(X).tobytes() == X.mean(axis=1).tobytes()
+
+
+def test_p1_block_means_keep_numpy_mean():
+    # numpy sums a p = 1 block pairwise, which a sequential sum does not match
+    rng = np.random.default_rng(17)
+    X = next(X for X in (rng.standard_normal((1, 1000, 1)) for _ in range(100))
+             if np.add.accumulate(X[..., 0], axis=1)[0, -1] / 1000 != X.mean())
+    assert harness._block_means(X).tobytes() == X.mean(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -638,6 +656,37 @@ def test_sweep_csv_independent_of_blas_threads(tmp_path):
                 (out / "sweep.csv").read_bytes()
             ).hexdigest()
     assert len(set(digests.values())) == 1, digests
+
+
+# minor page faults of the second of two identical n = 20000 sweeps
+FAULT_PROBE = """
+import resource
+from signcov import ExperimentConfig, run_gamma_sweep, singularity_model
+
+config = ExperimentConfig(
+    statistic="sweep", model=singularity_model(0.45, 2), p_grid=(2,),
+    gamma_grid=(0.45,), n_grid=(20_000,), replications=4, master_seed=3,
+    location_methods=("mean", "median"),
+)
+run_gamma_sweep(config, workers=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_gamma_sweep(config, workers=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+# other C libraries lack mallopt (macOS) or ignore these thresholds (musl)
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt thresholds")
+def test_large_n_replications_reuse_freed_heap():
+    # at n = 20000 every temporary is hundreds of KB; freed back to the OS,
+    # each one would be faulted in and zeroed again (thousands of faults)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert int(proc.stdout) < 200
 
 
 # records the modules loaded at each clock reading of a qq run
