@@ -158,12 +158,16 @@ def _degenerate_geometry(X: np.ndarray) -> bool:
 
 def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     """Optimality test for a data point: the summed spatial signs of the
-    other observations must not outpull its multiplicity."""
+    other observations must not outpull its multiplicity. The rows == vertex
+    (-0.0 == 0.0) are found coordinate by coordinate and dropped before the
+    norms, so their zero radii never take row_norms' rescue path."""
     d = rowwise(np.subtract, X, vertex)
-    r = row_norms(d)
-    coincident = np.flatnonzero(r == 0.0)  # the rows == vertex (-0.0 == 0.0)
-    resultant = _sign_resultant(np.delete(d, coincident, axis=0), np.delete(r, coincident))[0]
-    return bool(np.sqrt(resultant @ resultant) <= len(coincident))
+    coincident = d[:, 0] == 0.0
+    for k in range(1, d.shape[1]):
+        coincident &= d[:, k] == 0.0
+    d = np.delete(d, np.flatnonzero(coincident), axis=0)  # faster than d[~coincident]
+    resultant = _sign_resultant(d, row_norms(d))[0]
+    return bool(np.sqrt(resultant @ resultant) <= len(X) - len(d))
 
 
 def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +232,13 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
 def _componentwise_medians(X: np.ndarray) -> np.ndarray:
     """np.median(X, axis=1) of a finite block X (B, n, p) bit for bit, without
     its NaN check's numpy.ma import; it averages from +0.0 (-0.0 -> +0.0). One
-    selection serves: at even n the lower middle value is the largest below k."""
+    selection serves: at even n the lower middle value is the largest below k.
+    It runs in place along the contiguous lanes of a coordinate-major copy
+    (B, p, n), a copy even at p = 1, where the transpose is contiguous."""
     k, odd = divmod(X.shape[1], 2)
-    part = np.partition(X, k, axis=1)
-    return 0.0 + part[:, k] if odd else (0.0 + part[:, :k].max(axis=1) + part[:, k]) / 2
+    part = X.transpose(0, 2, 1).copy()
+    part.partition(k)
+    return 0.0 + part[..., k] if odd else (0.0 + part[..., :k].max(axis=2) + part[..., k]) / 2
 
 
 def _spatial_medians(X: np.ndarray, opts: MedianOptions):

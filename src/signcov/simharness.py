@@ -300,7 +300,10 @@ def _block_values(config, payload, X) -> np.ndarray:
             t = _block_means(X)[:, None]
         else:
             t = _spatial_medians(X, config.median_options)[0][:, None]
-        out[:, k] = value(config, payload, spatial_signs(rowwise(np.subtract, X, t)))
+        # X - (+0.0) is X bit for bit; X - (-0.0) turns -0.0 into +0.0
+        at_zero = method == "known" and not (t.any() or np.signbit(t).any())
+        out[:, k] = value(config, payload,
+                          spatial_signs(X if at_zero else rowwise(np.subtract, X, t)))
     return out
 
 
@@ -604,11 +607,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     location method, in replication order for any worker count."""
     if workers < 1:
         raise InvalidInputError("workers must be at least 1")
+    # load the modules the replications (numpy.random, for every statistic)
+    # and the qq reference load on first use before the clock, so that
+    # wall_time counts no import, and before any fork, so that no worker
+    # imports them again
+    import numpy.random  # noqa: F401
     if config.statistic == "qq":
-        # load the modules the reference and the replications load on first
-        # use before the clock, so that wall_time counts no import
         import numpy.polynomial  # noqa: F401
-        import numpy.random  # noqa: F401
         import statistics  # noqa: F401
     start = time.perf_counter()
     stat = STATISTICS[config.statistic]

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from signcov import (
 )
 import signcov.location
 from signcov.linalg import row_norms, rowwise
-from signcov.location import _anchored_optimal_at, _componentwise_medians, _spatial_medians
+from signcov.location import (
+    _anchored_optimal_at,
+    _componentwise_medians,
+    _sign_resultant,
+    _spatial_medians,
+)
 from _oracles import (
     brute_force_spatial_median,
     random_orthogonal,
@@ -384,8 +390,22 @@ _TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, -5e-324
 def test_componentwise_medians_match_np_median_on_ties(B, n, p, data):
     # the one selection at k gives np.median's bits at odd and even n alike
     X = data.draw(arrays(float, (B, n, p), elements=_TIED_VALUES | st.floats(-10, 10)))
+    before = X.tobytes()
     assert _componentwise_medians(X).view(np.int64).tobytes() == \
         np.median(X, axis=1).view(np.int64).tobytes()
+    assert X.tobytes() == before
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("B", [1, 16])
+@pytest.mark.parametrize("n", [7, 8, 1001, 1000])
+def test_componentwise_medians_leave_the_sample_unchanged(p, B, n):
+    # the selection runs in place on a copy: at p = 1 the transposed block
+    # is contiguous already, and selecting in it would reorder the sample
+    X = np.random.default_rng(100 * p + n + B).standard_normal((B, n, p))
+    before = X.tobytes()
+    _componentwise_medians(X)
+    assert X.tobytes() == before
 
 
 @pytest.mark.parametrize("initialization", ["componentwise_median", "mean"])
@@ -539,6 +559,44 @@ def test_vertex_test_matches_coordinate_equality_oracle(p):
             assert got == _anchored_optimal_at_by_equality(X, vertex), (X, vertex)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def _anchored_resultant_over_all_norms(X, vertex):
+    """The vertex test's (resultant, multiplicity) with the norms taken over
+    every row, the vertex's own included, and the zero radii dropped after."""
+    d = rowwise(np.subtract, X, vertex)
+    r = row_norms(d)
+    coincident = np.flatnonzero(r == 0.0)
+    resultant = _sign_resultant(np.delete(d, coincident, axis=0), np.delete(r, coincident))[0]
+    return resultant, len(coincident)
+
+
+# rows at the vertex (either signed zero) and one or a few of 1e-300 off it
+_OFFSETS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 3e-300, 1e-300 + 5e-324, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_vertex_test_matches_norms_over_every_row(p, data):
+    base = data.draw(arrays(float, (data.draw(st.integers(1, 6)), p),
+                            elements=_OFFSETS | st.floats(-2, 2)))
+    vertex = base[0]
+    # duplicate rows, and rows at tiny offsets from the vertex
+    picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+    shifts = data.draw(arrays(float, (len(picks), p), elements=_OFFSETS))
+    near = data.draw(arrays(bool, len(picks)))
+    X = np.vstack([vertex, np.where(near[:, None], vertex + shifts, base[picks])])
+    seen = []
+
+    def recording(d, r):
+        seen.append(_sign_resultant(d, r))
+        return seen[-1]
+
+    with mock.patch.object(signcov.location, "_sign_resultant", recording):
+        got = _anchored_optimal_at(X, vertex)
+    resultant, eta = _anchored_resultant_over_all_norms(X, vertex)
+    assert seen[0][0].tobytes() == resultant.tobytes()
+    assert got == bool(np.sqrt(resultant @ resultant) <= eta)
 
 
 @pytest.mark.filterwarnings("error")

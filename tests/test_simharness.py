@@ -14,6 +14,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
+import signcov.linalg as linalg
+import signcov.location as location
 import signcov.simharness as harness
 from signcov import (
     ExperimentConfig,
@@ -28,6 +30,7 @@ from signcov import (
     run_table_experiment,
     sample,
     singularity_model,
+    spatial_signs,
     student_t_model,
     write_metadata_json,
     write_result_csv,
@@ -274,6 +277,44 @@ def test_block_values_match_one_replication_at_a_time(case):
     block = harness._block_values(config, payload, X)
     one_by_one = np.vstack([harness._block_values(config, payload, x[None]) for x in X])
     assert block.shape == (9, 3) and block.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("mu, skips", [([0.0, 0.0], True), ([-0.0, 0.0], False),
+                                      ([0.0, 1.5], False)])
+def test_known_signs_at_a_zero_center_skip_only_a_plus_zero_subtraction(mu, skips, monkeypatch):
+    # X - (+0.0) is X bit for bit; X - (-0.0) turns -0.0 into +0.0, so a
+    # center holding -0.0 keeps the subtraction
+    model = gaussian_model(mu, SHAPE)
+    config = ExperimentConfig(statistic="qq", model=model, n_grid=(6,), replications=3,
+                              master_seed=5, location_methods=("known",))
+    payload = {"model": model, "n": 6, "target": 0.25}
+    X = np.stack([sample(model, 6, SeededStream(9, k)) for k in range(3)])
+    X[:, ::2, 0] = -0.0
+    signed = []
+    monkeypatch.setattr(harness, "spatial_signs",
+                        lambda D: signed.append(D) or spatial_signs(D))
+    harness._block_values(config, payload, X)
+    assert signed[0].tobytes() == (X - np.asarray(mu)).tobytes()
+    assert (signed[0] is X) == skips
+
+
+def test_large_n_replication_rescues_no_norm(monkeypatch):
+    # the vertex test drops the vertex's own zero row before the norms, and
+    # at n = 20000, gamma = 0.45 no other difference leaves the plain range
+    model = singularity_model(0.45, 2)
+    config = ExperimentConfig(statistic="sweep", model=model, n_grid=(20_000,),
+                              replications=1, master_seed=3, p_grid=(2,), gamma_grid=(0.45,))
+    calls = {"rescaled": 0, "vertex": 0}
+    rescaled, vertex_test = linalg._rescaled, location._anchored_optimal_at
+
+    def counting(name, f):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or f(*a)
+
+    monkeypatch.setattr(linalg, "_rescaled", counting("rescaled", rescaled))
+    monkeypatch.setattr(location, "_anchored_optimal_at", counting("vertex", vertex_test))
+    X = sample(model, 20_000, SeededStream(3, 0))[None]
+    harness._block_values(config, {"model": model, "n": 20_000, "target": None}, X)
+    assert calls["vertex"] > 0 and calls["rescaled"] == 0
 
 
 @pytest.mark.parametrize("B", [1, 16])
