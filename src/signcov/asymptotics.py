@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import matrix_json, require_finite, row_norms, rowwise, spatial_signs, symmetrize
-from .location import _as_sample
+from .linalg import matrix_json, row_norms, rowwise, spatial_signs, symmetrize
+from .location import _as_sample, _sample_at
 
 # flag joint-covariance estimates on samples whose coordinates show this
 # much excess kurtosis: finite second moments are the caller's
@@ -42,8 +42,7 @@ _KURTOSIS_FLAG_LEVEL = 100.0
 
 def vec_sign_outers(X, t) -> np.ndarray:
     """n x p^2 matrix whose rows are vec(s(X_i - t) s(X_i - t)^T)."""
-    X = _as_sample(X)
-    t = require_finite(t, "location")
+    X, t = _sample_at(X, t)
     U = spatial_signs(rowwise(np.subtract, X, t))
     n, p = U.shape
     # row-major flatten of (j, i) blocks == column-major vec of the outer
@@ -63,8 +62,7 @@ def fixed_location_cov(X, t) -> np.ndarray:
 
 def location_sensitivity(X, t) -> np.ndarray:
     """Plug-in estimate of the location-sensitivity matrix (p^2 x p)."""
-    X = _as_sample(X)
-    t = require_finite(t, "location")
+    X, t = _sample_at(X, t)
     D = X - t
     r = row_norms(D)
     keep = r > 0.0
@@ -92,10 +90,9 @@ def joint_mean_cov(X, t) -> np.ndarray:
     when the location estimator is the sample mean; other estimators are out
     of scope for this function.
     """
-    X = _as_sample(X)
+    X, t = _sample_at(X, t)
     if X.shape[0] < 2:
         raise InvalidInputError("need at least 2 observations")
-    t = require_finite(t, "location")
     Xc = X - X.mean(axis=0)
     m2 = (Xc**2).mean(axis=0)
     m4 = (Xc**4).mean(axis=0)
@@ -150,8 +147,9 @@ class AsymptoticsBundle:
 
     block_matrix is (sensitivity, I_{p^2}) and plugin_cov is
     block_matrix @ joint_cov @ block_matrix^T; joint_cov (and therefore
-    plugin_cov) is meaningful for the sample-mean location only, and is None
-    for any other.
+    plugin_cov) is meaningful for the sample-mean location only.
+    compute_bundle fills both at any t; the CLI builds its bundle for any
+    other location method without them, so there they are None.
     """
 
     fixed_cov: np.ndarray
@@ -179,8 +177,7 @@ class AsymptoticsBundle:
 
 def compute_bundle(X, t) -> AsymptoticsBundle:
     """Estimate every piece of the plug-in limit law at location t."""
-    X = _as_sample(X)
-    t = require_finite(t, "location")
+    X, t = _sample_at(X, t)
     W = fixed_location_cov(X, t)
     B = location_sensitivity(X, t)
     J = joint_mean_cov(X, t)

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import require_finite, row_norms, rowwise, spatial_signs
 
-INITIALIZATIONS = ("componentwise_median", "mean")
 LOCATION_METHODS = ("mean", "median", "fixed")
 
 # Second-singular-value ratio below which the sample is flagged as
@@ -53,7 +52,8 @@ _OVERFLOW_RADIUS = 1.0 / np.finfo(float).max
 
 @dataclass(frozen=True)
 class MedianOptions:
-    """Stopping and initialization knobs for the spatial-median iteration.
+    """Stopping rules of the spatial-median iteration, which starts at the
+    componentwise median.
 
     tolerance is a step-norm threshold relative to the data scale (the
     largest distance from the initial iterate to an observation) and must
@@ -63,21 +63,16 @@ class MedianOptions:
 
     tolerance: float = 1e-10
     max_iterations: int = 1000
-    initialization: str = "componentwise_median"
-    track_objective: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 0.2:
             raise InvalidInputError("tolerance must be positive and below 0.2, "
                                     "from where every point is certified")
-        if not isinstance(self.max_iterations, numbers.Integral):
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or isinstance(self.max_iterations, bool)):
             raise InvalidInputError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
-        if self.initialization not in INITIALIZATIONS:
-            raise InvalidInputError(
-                f"initialization must be one of {INITIALIZATIONS}"
-            )
 
 
 @dataclass
@@ -103,7 +98,6 @@ class LocationResult:
     iterations: int
     converged: bool
     sample: np.ndarray = field(repr=False, compare=False)
-    objective_history: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def anchored(self) -> bool:
@@ -142,8 +136,7 @@ def _sample_at(X, t) -> tuple[np.ndarray, np.ndarray]:
 
 def l1_objective(X, mu) -> float:
     """Sum of Euclidean distances from the observations to mu."""
-    X = _as_sample(X)
-    mu = require_finite(mu, "mu")
+    X, mu = _sample_at(X, mu)
     return float(np.sum(row_norms(rowwise(np.subtract, X, mu))))
 
 
@@ -224,9 +217,8 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     converged=False.
     """
     X = _as_sample(X)
-    y, its, ok, hist = _spatial_medians(X[None], opts or MedianOptions())
-    return LocationResult(y[0], "spatial_median", int(its[0]), bool(ok[0]), X,
-                          None if hist is None else hist[0])
+    y, its, ok = _spatial_medians(X[None], opts or MedianOptions())
+    return LocationResult(y[0], "spatial_median", int(its[0]), bool(ok[0]), X)
 
 
 def _componentwise_medians(X: np.ndarray) -> np.ndarray:
@@ -243,11 +235,10 @@ def _componentwise_medians(X: np.ndarray) -> np.ndarray:
 
 def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     """spatial_median on each slice of a block X (B, n, p): estimates (B, p),
-    iteration counts, converged flags and, with opts.track_objective, the
-    objective histories (else None). A slice leaves the arrays once it stops;
-    the snap test and a step off a data point run slice by slice."""
+    iteration counts and converged flags. A slice leaves the arrays once it
+    stops; the snap test and a step off a data point run slice by slice."""
     B, n, p = X.shape
-    y = X.mean(axis=1) if opts.initialization == "mean" else _componentwise_medians(X)
+    y = _componentwise_medians(X)
     diffs, r, objective = _radii(X, y)
     scale = r.max(axis=1)
     scale[scale == 0.0] = 1.0
@@ -276,7 +267,6 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     small_step = np.ones(B, dtype=bool)  # certified convergence at the start
     stale = np.zeros(B, dtype=bool)  # reached by a Weiszfeld step: no radii yet
     estimates, iterations, converged = np.empty((B, p)), np.zeros(B, int), np.zeros(B, bool)
-    histories = [[] for _ in range(B)] if opts.track_objective else None
     ids = np.arange(B)  # row j of X, y and each per-slice array is slice ids[j]
     identity = np.eye(p)
 
@@ -284,10 +274,6 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
         o = ids[done]
         estimates[o], iterations[o] = y[done], its[done]
         converged[o] = ok[done] & ~np.isnan(y[done]).any(axis=1)  # NaN: an overflowed step
-        for j in np.flatnonzero(done) if histories is not None else ():
-            if len(histories[ids[j]]) == its[j]:  # ended by a step
-                histories[ids[j]].append(
-                    l1_objective(X[j], y[j]) if stale[j] else objective[j])
 
     for _ in range(opts.max_iterations):
         k = len(ids)
@@ -295,8 +281,6 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
             diffs, r, objective = _radii(X, y)
         elif stale.any():
             diffs[stale], r[stale], objective[stale] = _radii(X[stale], y[stale])
-        for i, value in zip(ids, objective.tolist()) if histories is not None else ():
-            histories[i].append(value)
         # the slice stops this pass / is certified / would be by a zero step
         done, ok, zero_step_ok = np.zeros((3, k), dtype=bool)
         step, sel = np.zeros((k, p)), slice(None)  # sel: slices taking an interior step
@@ -389,8 +373,7 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     else:
         finish(np.ones(len(ids), dtype=bool), np.zeros(len(ids), dtype=bool))
 
-    return (estimates, iterations, converged,
-            None if histories is None else [np.asarray(h) for h in histories])
+    return estimates, iterations, converged
 
 
 def locate(

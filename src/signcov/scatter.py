@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import _out_of_range, _rescaled, require_finite, rowwise, spatial_signs, symmetrize
+from .linalg import _out_of_range, _rescaled, rowwise, spatial_signs, symmetrize
 from .location import (
     LocationResult,
     MedianOptions,
@@ -62,8 +62,7 @@ class CoincidenceReport:
 
 
 def coincidence_report(X, t) -> CoincidenceReport:
-    X = _as_sample(X)
-    t = require_finite(t, "location")
+    X, t = _sample_at(X, t)
     idx = np.flatnonzero(np.all(X == t, axis=1))
     return CoincidenceReport(
         n=X.shape[0], n_star=X.shape[0] - idx.size, indices_coincident=idx.tolist()

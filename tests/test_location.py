@@ -11,15 +11,21 @@ from signcov import (
     InvalidInputError,
     MedianOptions,
     SeededStream,
+    coincidence_report,
+    compute_bundle,
+    fixed_location_cov,
     gaussian_model,
+    joint_mean_cov,
     l1_objective,
     locate,
+    location_sensitivity,
     sample,
     sample_mean,
     singularity_model,
     spatial_median,
     spatial_signs,
     sscm_plugin,
+    vec_sign_outers,
 )
 import signcov.location
 from signcov.linalg import row_norms, rowwise
@@ -110,6 +116,17 @@ def test_locate_rejects_bad_requests():
         locate(RIGHT_TRIANGLE, "fixed", t=[0.0, 0.0, 0.0])
     with pytest.raises(InvalidInputError, match="finite"):
         locate(RIGHT_TRIANGLE, "fixed", t=[0.0, np.inf])
+
+
+@pytest.mark.parametrize("fn", [
+    l1_objective, coincidence_report, vec_sign_outers, fixed_location_cov,
+    location_sensitivity, joint_mean_cov, compute_bundle,
+], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("t", [0.5, [0.5], [0.5, 0.5]], ids=["scalar", "length_1", "length_p-1"])
+def test_location_of_wrong_length_is_rejected(fn, t):
+    X = np.random.default_rng(3).standard_normal((4, 3))
+    with pytest.raises(InvalidInputError, match="location has length"):
+        fn(X, t)
 
 
 def test_median_equilateral_triangle_is_centroid():
@@ -215,12 +232,21 @@ def test_median_orthogonal_shift_equivariance():
     np.testing.assert_allclose(moved, Q @ base + b, atol=1e-6)
 
 
+def _objective_path(X, start, iterations):
+    """The objective at the start and at each of the first iterations
+    iterates, which a run capped at k iterations returns as its estimate."""
+    path = [l1_objective(X, start)]
+    for k in range(1, iterations + 1):
+        capped = spatial_median(X, MedianOptions(max_iterations=k))
+        assert capped.iterations == k
+        path.append(l1_objective(X, capped.estimate))
+    return np.array(path)
+
+
 def test_monotone_descent():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((50, 2))
-    res = spatial_median(X, MedianOptions(track_objective=True))
-    h = res.objective_history
-    assert h is not None and len(h) == res.iterations + 1
+    h = _objective_path(X, np.median(X, axis=0), spatial_median(X).iterations)
     assert np.all(np.diff(h) <= 1e-12 * h[0])
 
 
@@ -277,13 +303,12 @@ def test_options_validation():
         with pytest.raises(InvalidInputError, match="below 0.2"):
             MedianOptions(tolerance=tolerance)
     assert MedianOptions(tolerance=0.199).tolerance == 0.199
-    with pytest.raises(InvalidInputError, match="integer"):
-        MedianOptions(max_iterations=2.5)
+    for max_iterations in (2.5, True):
+        with pytest.raises(InvalidInputError, match="integer"):
+            MedianOptions(max_iterations=max_iterations)
     assert MedianOptions(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(InvalidInputError):
         MedianOptions(max_iterations=0)
-    with pytest.raises(InvalidInputError):
-        MedianOptions(initialization="nope")
 
 
 def test_median_empty_errors():
@@ -408,26 +433,24 @@ def test_componentwise_medians_leave_the_sample_unchanged(p, B, n):
     assert X.tobytes() == before
 
 
-@pytest.mark.parametrize("initialization", ["componentwise_median", "mean"])
-def test_safeguard_keeps_iterates_finite_without_warnings(initialization):
-    opts = MedianOptions(initialization=initialization, track_objective=True)
+def _start_at_mean(monkeypatch):
+    """Start the iteration at the sample mean, from where collinear samples
+    reach the solver's fallbacks that the componentwise median never does."""
+    monkeypatch.setattr(signcov.location, "_componentwise_medians", lambda X: X.mean(axis=1))
+
+
+@pytest.mark.parametrize("start", ["componentwise_median", "mean"])
+def test_safeguard_keeps_iterates_finite_without_warnings(start, monkeypatch):
+    if start == "mean":
+        _start_at_mean(monkeypatch)
     for X in _safeguard_corpus():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = spatial_median(X, opts)
-        h = res.objective_history
+            res = spatial_median(X)
+            initial = X.mean(axis=0) if start == "mean" else np.median(X, axis=0)
+            h = _objective_path(X, initial, res.iterations)
         assert np.all(np.isfinite(res.estimate)) and np.all(np.isfinite(h))
-        assert len(h) == res.iterations + 1
         assert np.all(np.diff(h) <= 1e-12 * h[0])
-        # each entry is the objective at that iterate, which a run capped
-        # at k iterations returns as its estimate
-        initial = X.mean(axis=0) if initialization == "mean" else np.median(X, axis=0)
-        assert h[0] == l1_objective(X, initial)
-        for k in range(1, res.iterations + 1):
-            capped = spatial_median(X, MedianOptions(
-                initialization=initialization, max_iterations=k))
-            assert capped.iterations == k
-            assert h[k] == l1_objective(X, capped.estimate)
 
 
 @pytest.fixture(scope="module")
@@ -462,11 +485,13 @@ def block_corpora() -> dict:
     return out
 
 
-@pytest.mark.parametrize("opts", [
-    MedianOptions(track_objective=True),
-    MedianOptions(initialization="mean", max_iterations=3, track_objective=True),
+@pytest.mark.parametrize("start,opts", [
+    ("componentwise_median", MedianOptions()),
+    ("mean", MedianOptions(max_iterations=3)),
 ], ids=["default", "mean_init_capped_at_3"])
-def test_block_solver_matches_spatial_median_per_slice(opts, block_corpora, monkeypatch):
+def test_block_solver_matches_spatial_median_per_slice(start, opts, block_corpora, monkeypatch):
+    if start == "mean":
+        _start_at_mean(monkeypatch)
     solve, batch_failures = np.linalg.solve, []
 
     def recording_solve(A, b):
@@ -482,15 +507,14 @@ def test_block_solver_matches_spatial_median_per_slice(opts, block_corpora, monk
     for name, samples in block_corpora.items():
         for B in (1, 2, 7, 64):
             for lo in range(0, len(samples), B):
-                est, its, conv, hist = _spatial_medians(np.stack(samples[lo:lo + B]), opts)
+                est, its, conv = _spatial_medians(np.stack(samples[lo:lo + B]), opts)
                 for j, ref in enumerate(refs[name][lo:lo + B]):
                     assert est[j].tobytes() == ref.estimate.tobytes(), (name, B, lo + j)
                     assert (its[j], conv[j]) == (ref.iterations, ref.converged)
-                    assert hist[j].tobytes() == ref.objective_history.tobytes()
     # the branches the corpora are there to reach
     every = [r for results in refs.values() for r in results]
     assert any(r.anchored and r.iterations > 0 for r in every)  # snapped
-    if opts.initialization == "mean":
+    if start == "mean":
         assert any(len(shape) == 3 and shape[0] > 1 for shape in batch_failures)
         assert any(r.iterations == 3 and not r.converged for r in every)
     else:
