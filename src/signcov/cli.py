@@ -361,10 +361,8 @@ def main(argv=None) -> int:
     except DegenerateSampleError as exc:
         sys.stderr.write(f"error: degenerate sample: {exc}\n")
         return EXIT_DEGENERATE
-    except InvalidInputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    # numpy's MemoryError names the size it could not allocate
+    except (InvalidInputError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

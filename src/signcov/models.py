@@ -92,12 +92,13 @@ def _stream_keys(master_seed: int, indices) -> np.ndarray:
 
 
 def _keyed_generators(keys):
-    """One Generator, re-keyed for each Philox key in keys in turn to the
-    state of a fresh Philox(key=key): counter 0, empty buffer."""
-    rng, zeros = np.random.Generator(np.random.Philox(0)), np.zeros(4, np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys:
+    """One Generator, re-keyed for each row of the (k, 2) uint64 Philox keys in
+    turn to the state of a fresh Philox(key=key): counter 0, empty buffer. The
+    state holds Python ints, which the setter converts faster than numpy's."""
+    rng = np.random.Generator(np.random.Philox(0))
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys.tolist():
         state["state"]["key"] = key
         rng.bit_generator.state = state
         yield rng
@@ -236,7 +237,7 @@ def _draw(model: EllipticalModel, n: int, B: int, generators) -> np.ndarray:
         if model.generator == "student_t":
             W[b] = rng.chisquare(model.nu, size=n)
         elif model.generator == "singularity":
-            W[b] = rng.uniform(size=n)
+            W[b] = rng.random(size=n)  # uniform(0, 1) is 0 + 1 * random(): the same bits
     if model.generator == "gaussian":
         return model.mu + Z @ model._chol.T
     if model.generator == "student_t":

@@ -17,12 +17,12 @@ replication order. The ``qq`` reference quantities (population element,
 limit variance) are exact functions of the model's shape matrix
 (``models.sign_moments``) and draw no random numbers.
 
-Replications run in blocks of B = min(64, max(1, 2**15 // (max(n, p) * p)))
-starting at multiples of B within a cell (64 at n = 30, p = 10; 1 at n =
-20000, p = 2), which keeps a block's samples (B, n, p) and Newton systems
-(B, p, p) within 2**15 elements unless one alone is larger. A task is a run
-of whole blocks, so ``--workers`` never moves a block boundary, and each
-slice gets the bits it gets alone (see the ``location`` module docstring).
+Replications run in blocks of B = max(1, 2**15 // (max(n, p) * p)) starting
+at multiples of B within a cell (327 at n <= 10 and 109 at n = 30, p = 10;
+1 at n = 20000, p = 2), which keeps a block's samples (B, n, p) and Newton
+systems (B, p, p) within 2**15 elements unless one alone is larger. A task
+is a run of whole blocks, so ``--workers`` never moves a block boundary, and
+each slice gets the bits it gets alone (see the ``location`` module docstring).
 Tasks run here and in children forked after the OpenBLAS pin and malloc
 thresholds, which inherit both, the config and the payloads; values come back.
 """
@@ -266,7 +266,7 @@ def ks_statistic(sample_values, sigma2: float) -> float:
 
 def _block_size(n: int, p: int) -> int:
     """Replications per block of an (n, p) cell (see the module docstring)."""
-    return min(64, max(1, 2**15 // (max(n, p) * p)))
+    return max(1, 2**15 // (max(n, p) * p))
 
 
 def _table_values(c, payload, U) -> np.ndarray:

@@ -193,6 +193,15 @@ def test_oracle_invalid_model_json(capsys):
     assert "JSON" in err
 
 
+def test_oracle_too_large_to_allocate_exits_2(capsys):
+    # 1e13 draws at p = 2 ask numpy for about 146 TiB, more than a 47-bit address
+    # space holds, so the allocation fails before any page is touched
+    code, out, err = run(capsys, ["oracle", "--model", SHAPE_MODEL, "--method", "mc",
+                                  "--mc-size", "10000000000000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
 SPHERICAL2 = {"generator": "gaussian", "mu": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]}
 TABLE_CFG = {"statistic": "table", "model": SPHERICAL2, "p_grid": [2], "n_grid": [5],
              "replications": 2, "master_seed": 1}

@@ -186,13 +186,14 @@ def test_integral_median_max_iterations_accepted_from_json(text):
 def test_block_size_counts_the_newton_system():
     # the spatial median's (B, p, p) Newton systems count against the same
     # 2**15-element budget as the (B, n, p) samples
-    assert harness._block_size(30, 10) == harness._block_size(5, 10) == 64
+    assert harness._block_size(5, 10) == harness._block_size(10, 10) == 327
+    assert harness._block_size(20, 10) == 163 and harness._block_size(30, 10) == 109
     assert harness._block_size(1000, 2) == 16 and harness._block_size(20000, 2) == 1
-    assert harness._block_size(5, 100) == 3  # 2**15 // (5 * 100) would give 64
+    assert harness._block_size(5, 100) == 3  # 2**15 // (5 * 100) would give 65
     assert harness._block_size(5, 1000) == 1  # was 6: 48 MB per (B, p, p) array
-    for n, p in [(5, 100), (3, 60), (30, 10), (50, 50), (2, 40)]:
+    for n, p in [(5, 100), (3, 60), (30, 10), (50, 50), (2, 40), (5, 2), (100, 10)]:
         B = harness._block_size(n, p)
-        assert B * max(n, p) * p <= 2**15 < (B + 1) * max(n, p) * p or B == 64
+        assert B * max(n, p) * p <= 2**15 < (B + 1) * max(n, p) * p
 
 
 def test_config_builds_median_options_once():
@@ -239,7 +240,7 @@ def test_table_determinism_same_seed():
 
 def test_worker_count_independence(tmp_path):
     # in the second config R = 70 is no multiple of either cell's block
-    # size (64 at n = 5, 8 at n = 2000), so each cell ends on a short block
+    # size (3276 at n = 5, 8 at n = 2000), so each cell ends on a short block
     ragged = small_table_config(p_grid=(2,), n_grid=(5, 2000), replications=70)
     sizes = [harness._block_size(n, 2) for n in ragged.n_grid]
     assert sizes[0] != sizes[1] and all(70 % b for b in sizes)
@@ -251,6 +252,20 @@ def test_worker_count_independence(tmp_path):
             write_result_csv(res, path)
             paths.append(path.read_bytes())
         assert len(set(paths)) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_above_64_match_blocks_of_at_most_64(tmp_path, monkeypatch, workers):
+    # R = 400 at p = 10 runs blocks of 327 + 73 at n = 5 and 3 x 109 + 73 at
+    # n = 30; under the earlier cap every block held at most 64 replications
+    cfg = small_table_config(p_grid=(10,), n_grid=(5, 30), replications=400)
+    assert [harness._block_size(n, 10) for n in cfg.n_grid] == [327, 109]
+    budget, capped = tmp_path / "budget.csv", tmp_path / "capped.csv"
+    write_result_csv(run_table_experiment(cfg, workers=workers), budget)
+    rule = harness._block_size
+    monkeypatch.setattr(harness, "_block_size", lambda n, p: min(64, rule(n, p)))
+    write_result_csv(run_table_experiment(cfg, workers=workers), capped)
+    assert budget.read_bytes() == capped.read_bytes()
 
 
 def _block_cases():
@@ -383,11 +398,17 @@ def no_child_left():
 """
 
 
+def dispatch_config():
+    """2 x 2 table cells of 3 whole blocks of 9 replications (2**15 // (n * p)
+    is 9 at each of p = 10, 11 and n = 328, 330): 12 one-block tasks
+    whenever there may be 3 or more processes."""
+    return small_table_config(p_grid=(10, 11), n_grid=(328, 330), replications=3 * 9)
+
+
 def _dispatch(tmp_path, body):
     """The last stdout line, as JSON, of the prelude plus body run in a fresh
-    interpreter on a table config of 12 one-block tasks, and the records
-    the run logged."""
-    config = small_table_config(replications=3 * 64)
+    interpreter on dispatch_config(), and the records the run logged."""
+    config = dispatch_config()
     log = tmp_path / "log.jsonl"
     log.touch()
     src = str(Path(harness.__file__).resolve().parents[1])
@@ -409,8 +430,8 @@ def _dispatch(tmp_path, body):
 def test_pool_capped_by_tasks_and_cpus(tmp_path, workers, cpus, expected):
     # 2 x 2 cells of 3 whole blocks, at most one block per task whenever
     # there may be 3 or more processes: 12 tasks
-    cfg = small_table_config(replications=3 * 64)
-    assert {harness._block_size(n, p) for p in cfg.p_grid for n in cfg.n_grid} == {64}
+    cfg = dispatch_config()
+    assert {harness._block_size(n, p) for p in cfg.p_grid for n in cfg.n_grid} == {9}
     serial = tmp_path / "serial.csv"
     write_result_csv(run_table_experiment(cfg, workers=1), serial)
     out, _ = _dispatch(tmp_path, f"""
@@ -429,7 +450,7 @@ print(json.dumps({{"forks": len(forks), "no_child_left": no_child_left()}}))
 
 
 def test_task_order_kept_when_children_run_most_tasks(tmp_path):
-    cfg = small_table_config(replications=3 * 64)
+    cfg = dispatch_config()
     serial = tmp_path / "serial.csv"
     write_result_csv(run_table_experiment(cfg, workers=1), serial)
     out, records = _dispatch(tmp_path, f"""
