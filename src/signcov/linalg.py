@@ -103,9 +103,10 @@ def spatial_signs(X: np.ndarray) -> np.ndarray:
     (B, n, p) block; zero rows stay zero."""
     X = np.asarray(X, dtype=float)
     r, rescued = _rescued_norms(X)
+    if rescued is None:  # every r >= 1e-140: no zero divisor to replace
+        return rowwise(np.divide, X, r[..., None])
     U = rowwise(np.divide, X, np.where(r > 0.0, r, 1.0)[..., None])
-    if rescued is not None:  # X / r is no unit row once r is subnormal
-        U[rescued] = _rescaled(X[rescued])[0]
+    U[rescued] = _rescaled(X[rescued])[0]  # X / r is no unit row once r is subnormal
     return U
 
 

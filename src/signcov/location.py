@@ -12,6 +12,14 @@ once the test passes. The certificate is the sign-resultant test either way.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
 
+A nearby vertex x is tested only if a second-order bound from the pass at
+the iterate y leaves it a chance. With h = y - x, delta = |h|, F the rows
+with r_i > 2 delta and N the rest (x's own among them): for |h| <= |a| / 2,
+|s(a + h) - s(a) - Ds(a) h| <= (2 / sqrt 3) 2 (2 ln 2 - 1) |h|^2 / |a|^2 <
+|h|^2 / |a|^2, so x fails untested where |R_F + H_F h| (the pass's resultant
+and Newton matrix without N's rows) exceeds |N| + delta^2 sum_F 1 / r_i^2 +
+4e-15 p n^2 (>= 16 p n^2 eps, for rounding). A proof, it skips no passing test.
+
 The iteration runs on blocks of samples (B, n, p) (``_spatial_medians``;
 ``spatial_median`` is a block of one), each slice taking bit for bit the
 steps it takes alone: elementwise operations and reductions along a row or
@@ -163,6 +171,19 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     return bool(np.sqrt(resultant @ resultant) <= len(X) - len(d))
 
 
+def _vertex_ruled_out(d, r, w, resultant, w_sum, matrix, row) -> bool:
+    """Whether the module docstring's bound rules out x = X_row, the data point
+    nearest the iterate y, from the pass's d = X - y, r, w = 1 / r, resultant and
+    H = w_sum * matrix, with h = (y - x) / delta; never once w @ w overflows."""
+    delta, h = r[row], d[row] / -r[row]
+    near = (r <= 2.0 * delta).nonzero()[0]  # N, x's own rows among them
+    u, q = d[near] * w[near, None], delta * w[near]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pull = resultant + (delta * w_sum) * (matrix @ h) + (q * (u @ h) - 1.0) @ u - q.sum() * h
+        bound = delta * delta * (w @ w) - q @ q + len(near) + 4e-15 * d.size * len(d)
+    return bool(bound < math.sqrt(pull @ pull) < math.inf)  # never on inf or NaN
+
+
 def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sum_i d_i / r_i, 1 / r) for radii r > 0: (1 / r) @ d, or where 1 / r_i
     overflows (r_i < ~5.6e-309) the sum of the spatial signs of the rows d_i."""
@@ -255,8 +276,8 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     # reach it exactly, so nearby vertices are tested directly: a passing
     # test identifies the minimizer (unique for non-collinear data) and the
     # iterate snaps onto it. The test reads the sample and the vertex only,
-    # never the iterate, so a vertex that failed is not tested again. An
-    # iterate so close to a data point that 1 / r overflows is near too.
+    # never the iterate, so a vertex that failed or was ruled out is not
+    # tested again. An iterate within ~5.6e-309 of a data point is near too.
     snap_gate = np.maximum(0.01 * scale, _OVERFLOW_RADIUS)
     failed: set[tuple[int, int]] = set()  # (slice id, row) of failed vertices
     # steps this far below the stopping resolution cannot be refining a
@@ -281,8 +302,8 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
             diffs, r, objective = _radii(X, y)
         elif stale.any():
             diffs[stale], r[stale], objective[stale] = _radii(X[stale], y[stale])
-        # the slice stops this pass / is certified / would be by a zero step
-        done, ok, zero_step_ok = np.zeros((3, k), dtype=bool)
+        # the slice stops this pass / is certified / would be by a zero step / tests a vertex
+        done, ok, zero_step_ok, pending = np.zeros((4, k), dtype=bool)
         step, sel = np.zeros((k, p)), slice(None)  # sel: slices taking an interior step
         rmin = r.min(axis=1)  # NaN if any radius is
         near = ~(rmin > snap_gate)
@@ -293,14 +314,8 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
                     y[j] = X[j, nearest[j]]
                     diffs[j], r[j], _ = (a[0] for a in _radii(X[j:j + 1], y[j:j + 1]))
                     rmin[j] = 0.0
-                elif rmin[j] > 0.0:  # all radii positive
-                    key = (ids[j], nearest[j])
-                    if key not in failed:
-                        if _anchored_optimal_at(X[j], X[j, nearest[j]]):
-                            y[j] = X[j, nearest[j]]
-                            done[j] = ok[j] = True
-                        else:
-                            failed.add(key)
+                elif rmin[j] > 0.0:  # all radii positive: gate and test once H is formed
+                    pending[j] = (ids[j], nearest[j]) not in failed
                     continue
                 # zero radius <=> exact coordinate coincidence with a data point
                 active = r[j] > 0.0
@@ -318,7 +333,7 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
         w = 1.0 / r[sel]
         resultant = np.matmul(w[:, None], diffs[sel])[:, 0]  # sum of signs
         zero_step_ok[sel] = np.sqrt(np.vecdot(resultant, resultant)) <= resultant_bound
-        certified = small_step[sel] & zero_step_ok[sel]
+        certified = small_step[sel] & zero_step_ok[sel] & ~pending[sel]
         if certified.any():
             sel = np.arange(k)[sel]
             done[sel[certified]] = ok[sel[certified]] = True
@@ -332,7 +347,21 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
             # have norm at most 1, so nothing overflows at tiny radii.
             v = rowwise(np.multiply, diffs[sel],
                         (w * np.sqrt(w / w_sum[:, None]))[:, :, None])
-            newton = _solve_each(identity - np.matmul(v.transpose(0, 2, 1), v), weiszfeld)
+            matrix = identity - np.matmul(v.transpose(0, 2, 1), v)  # H / w_sum
+            del v  # the vertex test's arrays take its place
+            at = np.arange(k)[sel]
+            for i in np.flatnonzero(pending[at]):
+                j, row = at[i], nearest[at[i]]
+                if (_vertex_ruled_out(diffs[j], r[j], w[i], resultant[i], w_sum[i],
+                                      matrix[i], row)
+                        or not _anchored_optimal_at(X[j], X[j, row])):
+                    failed.add((ids[j], row))
+                    done[j] = ok[j] = small_step[j] & zero_step_ok[j]  # its deferred certificate
+                else:  # a passing vertex snaps even where the step certifies
+                    y[j], done[j], ok[j] = X[j, row], True, True
+            if done[at].any():  # else keep sel a slice where it is one
+                sel, weiszfeld, matrix = (a[~done[at]] for a in (at, weiszfeld, matrix))
+            newton = _solve_each(matrix, weiszfeld)
             finite = np.isfinite(newton).all(axis=1)
             if not finite.all():  # these take the Weiszfeld step
                 sel = np.arange(k)[sel]

@@ -124,6 +124,7 @@ def median_corpus() -> dict:
         "rounded_duplicates": duplicates,
         "signed_zero_init": signed_zero_corpus(),
         **narrow_duplicates_corpus(),
+        "vertex_certified_p2": vertex_certified_corpus(),
     }
 
 
@@ -144,6 +145,15 @@ def narrow_duplicates_corpus() -> dict:
     return groups
 
 
+def vertex_certified_corpus() -> list:
+    """Singularity samples at gamma = 0.05, n = 1000 whose medians a passing
+    vertex test certifies: after 5, 0, 0 and 1 iterations, each the last of
+    its median's 3, 1, 1 and 2 vertex tests. A gate that skipped a passing
+    test would leave the iterate off the vertex and move this digest."""
+    return [sample(singularity_model(0.05, 2), 1000, SeededStream(seed, k))
+            for seed, k in ((1, 255), (2, 4), (2, 232), (3, 207))]
+
+
 # (group, start, options) triples that are digested
 CASES = [
     ("gaussian_p10", "componentwise_median", MedianOptions()),
@@ -157,6 +167,7 @@ CASES = [
     ("rounded_duplicates_p2", "mean", MedianOptions()),
     ("rounded_duplicates_p1", "componentwise_median", MedianOptions()),
     ("rounded_duplicates_p1", "mean", MedianOptions()),
+    ("vertex_certified_p2", "componentwise_median", MedianOptions()),
 ]
 
 
@@ -204,6 +215,9 @@ MEDIAN_DIGESTS = {
         "484d45f006fb663c96563057715da3511e316d89810dc0731b2ab1e2ad9d4930",
     "rounded_duplicates_p1[mean,1e-10,1000]":
         "56fa49c06af6fb7464816b599696e3f8052ee7f1b91b9d143ffe1fe299fc91e3",
+    # recorded before the vertex test was gated
+    "vertex_certified_p2[componentwise_median,1e-10,1000]":
+        "11854121d24e4ba021dad05ba7397deb1f36667f41ce7ddb6135bea654ce33ce",
 }
 
 

@@ -50,6 +50,18 @@ def test_spatial_signs_rowwise_matches_scalar():
         np.testing.assert_allclose(U[i], spatial_sign(X[i]), atol=1e-14)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(7,), (3, 7)])
+def test_spatial_signs_in_range_divide_by_the_norms_bitwise(p, shape):
+    # with no row outside the plain range every norm is >= 1e-140, so the
+    # divisor without the zero-norm guard has the same bits
+    scales = 10.0 ** np.linspace(-120.0, 120.0, 7)[:, None]
+    X = np.random.default_rng(p).standard_normal((*shape, p)) * scales
+    r = row_norms(X)
+    expected = rowwise(np.divide, X, np.where(r > 0.0, r, 1.0)[..., None])
+    assert spatial_signs(X).tobytes() == expected.tobytes()
+
+
 def test_spatial_signs_of_rows_with_a_subnormal_norm_are_unit():
     # the rescued norm is subnormal, so X / r alone is no unit row
     X = np.array([[5e-324, -5e-324], [3e-320, 1e-320], [0.0, 0.0], [3.0, 4.0]])

@@ -1,9 +1,10 @@
+import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,10 +31,12 @@ from signcov import (
 import signcov.location
 from signcov.linalg import row_norms, rowwise
 from signcov.location import (
+    _OVERFLOW_RADIUS,
     _anchored_optimal_at,
     _componentwise_medians,
     _sign_resultant,
     _spatial_medians,
+    _vertex_ruled_out,
 )
 from _oracles import (
     brute_force_spatial_median,
@@ -394,16 +397,57 @@ def test_componentwise_medians_match_np_median_bitwise():
 
 
 def test_failed_vertex_is_not_tested_again(monkeypatch):
-    # the vertex test reads the sample and the vertex only, so a retest could
-    # only fail again; at gamma = 0.05 the iterate keeps nearing failed vertices
-    tested = []
-    test = signcov.location._anchored_optimal_at
-    monkeypatch.setattr(signcov.location, "_anchored_optimal_at",
-                        lambda X, v: tested.append(v.tobytes()) or test(X, v))
+    # the gate and the test read the vertex's sample, so a second decision
+    # could only rule it out again; at gamma = 0.05 the iterate keeps nearing
+    # failed vertices. Each vertex is gated at most once, and tested at most
+    # once, right after a gate that kept it.
+    log = []
+    gate, test = signcov.location._vertex_ruled_out, signcov.location._anchored_optimal_at
+
+    def gating(*args):
+        log.append(("gate", int(args[-1]), gate(*args)))
+        return log[-1][2]
+
+    def testing(X, v):
+        log.append(("test", int(np.flatnonzero(np.all(X == v, axis=1))[0]), None))
+        return test(X, v)
+
+    monkeypatch.setattr(signcov.location, "_vertex_ruled_out", gating)
+    monkeypatch.setattr(signcov.location, "_anchored_optimal_at", testing)
     for k in range(3):
-        tested.clear()
+        log.clear()
         spatial_median(sample(singularity_model(0.05, 2), 200, SeededStream(7, k)))
-        assert tested and len(set(tested)) == len(tested)
+        gated = [row for kind, row, _ in log if kind == "gate"]
+        tested = [row for kind, row, _ in log if kind == "test"]
+        assert gated and len(set(gated)) == len(gated)
+        assert len(set(tested)) == len(tested)
+        assert all(log[i - 1] == ("gate", row, False)
+                   for i, (kind, row, _) in enumerate(log) if kind == "test")
+
+
+def test_vertex_tests_are_rare_at_large_n(monkeypatch):
+    # at gamma = 0.45, n = 20000 the iterate nears about two failing vertices
+    # per median; the gate rules nearly all of them out before their test,
+    # and each vertex it rules out fails the test
+    calls, ruled_out = [], []
+    gate, test = signcov.location._vertex_ruled_out, signcov.location._anchored_optimal_at
+
+    def gating(*args):
+        if gate(*args):
+            ruled_out.append(args[-1])
+            return True
+        return False
+
+    monkeypatch.setattr(signcov.location, "_vertex_ruled_out", gating)
+    monkeypatch.setattr(signcov.location, "_anchored_optimal_at",
+                        lambda X, v: calls.append(1) or test(X, v))
+    model = singularity_model(0.45, 2)
+    for k in range(32):
+        X = sample(model, 20_000, SeededStream(41, k))
+        ruled_out.clear()
+        assert spatial_median(X).converged
+        assert not any(test(X, X[row]) for row in ruled_out)
+    assert len(calls) <= 0.5 * 32
 
 
 # few distinct values, so that ties and both signed zeros are common
@@ -649,3 +693,63 @@ def test_median_on_a_point_with_subnormal_neighbours(X):
     res = spatial_median(X)
     assert res.estimate.tolist() == [0.0] * X.shape[1]
     assert res.converged and res.anchored
+
+
+def _gate_at(X, y):
+    """The gate on the data point nearest to y, from what the solver's pass at
+    the iterate y forms: differences, radii, weights, resultant and H / sum w."""
+    d = rowwise(np.subtract, X, y)
+    r = row_norms(d)
+    w = 1.0 / r
+    with np.errstate(over="ignore"):  # sum w overflows at radii near 1e-308
+        w_sum = w.sum()
+    v = d * (w * np.sqrt(w / w_sum))[:, None]
+    pass_at_y = (d, r, w, w @ d, w_sum, np.eye(len(y)) - v.T @ v, int(r.argmin()))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # the gate is silent
+        return _vertex_ruled_out(*pass_at_y), pass_at_y[-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 10]), st.integers(2, 30), st.integers(1, 4), st.integers(0, 24),
+       st.integers(-300, 300), st.integers(1, 12), st.sampled_from([0.0, 1.0, 1e4]),
+       st.integers(0, 2**32 - 1))
+def test_vertex_gate_rules_out_only_failing_vertices(p, n, eta, close, scale_exp, delta_exp,
+                                                     shift, seed):
+    # the gate is a proof: where it rules the nearest data point out, the
+    # vertex test fails there. The vertex x sits near the cloud's center with
+    # eta copies; the iterate is x + h, |h| = delta, with neighbours within
+    # 3 delta of it, inside 2 delta (N) or just beyond, where the
+    # second-order term matters; the sample is shifted and scaled by up to 1e300
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((eta + close + n, p))
+    X[:eta] = 0.0
+    h = rng.standard_normal(p)
+    h *= 10.0 ** -delta_exp / np.linalg.norm(h)
+    ahead = rng.standard_normal((close, p))
+    ahead *= rng.uniform(0.0, 3.0, (close, 1)) * 10.0 ** -delta_exp \
+        / np.linalg.norm(ahead, axis=1, keepdims=True)
+    X[eta:eta + close] = h + ahead
+    scale = 10.0 ** scale_exp
+    X, y = (X + shift) * scale, (h + shift) * scale
+    assume(row_norms(rowwise(np.subtract, X, y)).min() > _OVERFLOW_RADIUS)
+    ruled_out, row = _gate_at(X, y)
+    assert not (ruled_out and _anchored_optimal_at(X, X[row]))
+
+
+def test_vertex_gate_keeps_an_optimal_vertex_near_the_iterate():
+    # the origin x is optimal: twenty rows at (1, +-2.05) pull it along e1
+    # with 20 / |(1, 2.05)| and eight far rows pull back with 0.9 less. From
+    # y = (1, 0), delta = 1, those twenty rows sit just past 2 delta, in F,
+    # where the linear terms overshoot by about 0.99: |R_F + H_F h| is 1.89
+    # against |N| = 1, so only the second-order term keeps x
+    c = (20.0 / math.hypot(1.0, 2.05) - 0.9) / 8.0
+    s = math.sqrt(1.0 - c * c)
+    X = np.vstack([[0.0, 0.0], np.tile([[1.0, 2.05], [1.0, -2.05]], (10, 1)),
+                   np.tile([[-1e3 * c, 1e3 * s], [-1e3 * c, -1e3 * s]], (4, 1))])
+    h = np.array([1.0, 0.0])
+    u = spatial_signs(X[1:] - h)
+    linear = (u + (h - u * (u @ h)[:, None]) / row_norms(X[1:] - h)[:, None]).sum(axis=0)
+    assert np.linalg.norm(linear) > 1.8
+    for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
+        assert _anchored_optimal_at(scale * X, scale * X[0])
+        assert _gate_at(scale * X, scale * h) == (False, 0)
