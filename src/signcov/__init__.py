@@ -22,7 +22,6 @@ from .asymptotics import (
 )
 from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import (
-    frobenius_sq_distance,
     kron,
     row_norms,
     sign_outer,
@@ -41,11 +40,9 @@ from .location import (
 )
 from .models import (
     EllipticalModel,
-    InverseMomentResult,
     SeededStream,
     SignMoments,
     gaussian_model,
-    inverse_moment,
     population_sscm_closed_p2,
     population_sscm_mc,
     sample,

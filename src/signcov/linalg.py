@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernel: spatial signs, vec, Kronecker products,
-Frobenius distances, and the JSON form of a matrix.
+"""Dense linear-algebra kernel: spatial signs, vec, Kronecker products
+and the JSON form of a matrix.
 
 Everything operates on plain numpy arrays. The vectorization convention is
 column-major (Fortran order) throughout the package: entry (i, j) of a p x p
@@ -23,11 +23,16 @@ def require_finite(a, name: str = "input") -> np.ndarray:
     return a
 
 
+# at p <= 2 a broadcast call loops over rows of length p: above this many entries a call per
+# coordinate is faster, below it the one call's fixed cost is smaller (near n = 500 at p = 2)
+_PER_COORDINATE_SIZE = 1024
+
+
 def rowwise(ufunc, X: np.ndarray, v) -> np.ndarray:
     """ufunc(X, v) for float rows X (..., n, p) and a v that broadcasts to X's
-    shape, bit for bit. At p <= 2 the ufunc runs once per coordinate on the
-    strided views X[..., k], since a broadcast call loops over rows of length p."""
-    if X.shape[-1] > 2:
+    shape, bit for bit. At p <= 2 on large X the ufunc runs once per
+    coordinate on the strided views X[..., k]."""
+    if X.shape[-1] > 2 or X.size <= _PER_COORDINATE_SIZE:
         return ufunc(X, v)
     v = np.asarray(v)
     out = np.empty_like(X)
@@ -51,7 +56,8 @@ def row_norms(X: np.ndarray) -> np.ndarray:
 def _rescued_norms(X) -> tuple[np.ndarray, np.ndarray | None]:
     """row_norms(X) and the mask of the rows it rescued, None if none."""
     X = np.asarray(X, dtype=float)
-    if 0 < X.shape[-1] <= 2:  # per coordinate: the einsum's sum, x0*x0 (+ x1*x1)
+    if 0 < X.shape[-1] <= 2 and X.size > _PER_COORDINATE_SIZE:
+        # per coordinate: the einsum's sum, x0*x0 (+ x1*x1)
         with np.errstate(over="ignore"):  # as quiet as the einsum; rescued below
             d2 = X[..., 0] * X[..., 0]
             if X.shape[-1] == 2:
@@ -127,16 +133,6 @@ def vec(M) -> np.ndarray:
 def kron(A, B) -> np.ndarray:
     """Kronecker product; block (i, j) equals A[i, j] * B."""
     return np.kron(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-
-
-def frobenius_sq_distance(A, B) -> float:
-    """Squared Frobenius distance sum((A - B)**2)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise InvalidInputError(f"shape mismatch: {A.shape} vs {B.shape}")
-    d = A - B
-    return float(np.sum(d * d))
 
 
 def matrix_json(M) -> dict | None:

@@ -12,24 +12,36 @@ once the test passes. The certificate is the sign-resultant test either way.
 Coincidence is tested with exact floating-point equality, consistent with
 the coincidence counting in the scatter module.
 
-A nearby vertex x is tested only if a second-order bound from the pass at
-the iterate y leaves it a chance. With h = y - x, delta = |h|, F the rows
-with r_i > 2 delta and N the rest (x's own among them): for |h| <= |a| / 2,
-|s(a + h) - s(a) - Ds(a) h| <= (2 / sqrt 3) 2 (2 ln 2 - 1) |h|^2 / |a|^2 <
-|h|^2 / |a|^2, so x fails untested where |R_F + H_F h| (the pass's resultant
-and Newton matrix without N's rows) exceeds |N| + delta^2 sum_F 1 / r_i^2 +
-4e-15 p n^2 (>= 16 p n^2 eps, for rounding). A proof, it skips no passing test.
+A nearby vertex x, the data point nearest the iterate y, is tested only if
+a second-order bound from the pass at y leaves it a chance. Let h = y - x,
+delta = |h| <= r_i, t_i = delta / r_i <= 1 and a = X_i - y. In the plane of
+a and h, s(a + h) is at an angle theta <= pi / 2 from s(a), sin theta <= t,
+and Ds(a) h = beta b / |a| with b the unit normal to a there and beta <= t |a|:
+the remainder s(a + h) - s(a) - Ds(a) h has components cos theta - 1 and
+sin theta - beta / |a| = sin theta (1 - |a + h| / |a|), each at most t^2,
+so it is at most sqrt 2 t^2 (the constant as h nears -a, where t nears 1).
+Each of x's eta own rows (t = 1), whose sign the test drops, leaves h / delta.
+As x passes iff the other rows' signs sum to at most eta, a passing x has
+|R + H h + h / delta| <= 2 eta - 1 + sqrt 2 sum_others t_i^2 <= 2 delta^2
+sum_i 1 / r_i^2 - 1 (R, H: the pass's sign resultant and Newton matrix). x
+fails untested where the left side exceeds the right plus 4e-15 p n^2 (>= 16
+p n^2 eps, for rounding): a proof, it skips no passing test, in one scan.
+
+Where sum_i 1 / r_i overflows (hundreds of radii near 1e-306), the Weiszfeld
+step and the rows v_i come from the scale-free weights r_min / r_i, and a
+step whose plain sum of squares leaves the float range has its norm
+rescaled, so the sample converges as its rescaled copy does.
 
 The iteration runs on blocks of samples (B, n, p) (``_spatial_medians``;
 ``spatial_median`` is a block of one), each slice taking bit for bit the
 steps it takes alone: elementwise operations and reductions along a row or
 slice keep their order, and ``np.matmul`` (gemv, syrk), ``np.vecdot`` and
-the gufunc ``np.linalg.solve`` (gesv) run the one-sample kernel per slice,
+the gesv gufunc behind ``np.linalg.solve`` run the one-sample kernel per slice,
 where an ``np.einsum`` sum across rows such as ``"bi,bij->bj"`` would not.
-At p <= 2, by p alone, the passes over rows (X - y, row norms, the Newton
-row scaling, the vertex test) run per coordinate (``linalg.rowwise``): a
-ufunc rounds each entry alone and x0*x0 + x1*x1 is the einsum's sum, so the
-bits hold, and every reduction stays on the (B, n, p) arrays.
+At p <= 2, on arrays of more than 1024 entries, the passes over rows (X - y,
+row norms, the vertex test) run per coordinate (``linalg.rowwise``): a ufunc
+rounds each entry alone and x0*x0 + x1*x1 is the einsum's sum, so the bits
+hold; every reduction but the syrk of V^T V stays on the (B, n, p) arrays.
 
 A result's anchored flag, objective and degenerate_geometry are computed
 on first read, from the sample the call received: the Monte Carlo harness
@@ -44,6 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError
 from .linalg import require_finite, row_norms, rowwise, spatial_signs
@@ -56,6 +69,10 @@ _DEGENERATE_SV_RATIO = 1e-12
 
 # 1 / r overflows for radii r up to this one (about 5.6e-309)
 _OVERFLOW_RADIUS = 1.0 / np.finfo(float).max
+
+# the gufunc behind np.linalg.solve, A_j^-1 b_j per slice, NaN where A_j is
+# singular (an invalid-value flag, which np.linalg.solve raises as an error)
+_solve = _umath_linalg.solve
 
 
 @dataclass(frozen=True)
@@ -117,9 +134,7 @@ class LocationResult:
 
     @cached_property
     def degenerate_geometry(self) -> bool:
-        return self.method == "spatial_median" and _degenerate_geometry(
-            self.sample
-        )
+        return self.method == "spatial_median" and _degenerate_geometry(self.sample)
 
 
 def _as_sample(X) -> np.ndarray:
@@ -136,9 +151,7 @@ def _sample_at(X, t) -> tuple[np.ndarray, np.ndarray]:
     X = _as_sample(X)
     t = require_finite(t, "location")
     if t.ndim != 1 or t.shape[0] != X.shape[1]:
-        raise InvalidInputError(
-            f"location has length {t.shape}, expected ({X.shape[1]},)"
-        )
+        raise InvalidInputError(f"location has length {t.shape}, expected ({X.shape[1]},)")
     return X, t
 
 
@@ -152,21 +165,18 @@ def _degenerate_geometry(X: np.ndarray) -> bool:
     if X.shape[0] == 1 or X.shape[1] == 1:
         return True
     s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
-    if s[0] == 0.0:
-        return True
-    return bool(s[1] <= _DEGENERATE_SV_RATIO * s[0])
+    return bool(s[0] == 0.0 or s[1] <= _DEGENERATE_SV_RATIO * s[0])
 
 
 def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
     """Optimality test for a data point: the summed spatial signs of the
     other observations must not outpull its multiplicity. The rows == vertex
-    (-0.0 == 0.0) are found coordinate by coordinate and dropped before the
-    norms, so their zero radii never take row_norms' rescue path."""
+    (-0.0 == 0.0), found from the first coordinate and then the others on
+    those rows, are dropped before the norms, so their zero radii never take
+    row_norms' rescue path."""
     d = rowwise(np.subtract, X, vertex)
-    coincident = d[:, 0] == 0.0
-    for k in range(1, d.shape[1]):
-        coincident &= d[:, k] == 0.0
-    d = np.delete(d, np.flatnonzero(coincident), axis=0)  # faster than d[~coincident]
+    rows = np.flatnonzero(d[:, 0] == 0.0)
+    d = np.delete(d, rows[(d[rows, 1:] == 0.0).all(axis=1)], axis=0)  # faster than a mask
     resultant = _sign_resultant(d, row_norms(d))[0]
     return bool(np.sqrt(resultant @ resultant) <= len(X) - len(d))
 
@@ -174,14 +184,15 @@ def _anchored_optimal_at(X: np.ndarray, vertex: np.ndarray) -> bool:
 def _vertex_ruled_out(d, r, w, resultant, w_sum, matrix, row) -> bool:
     """Whether the module docstring's bound rules out x = X_row, the data point
     nearest the iterate y, from the pass's d = X - y, r, w = 1 / r, resultant and
-    H = w_sum * matrix, with h = (y - x) / delta; never once w @ w overflows."""
-    delta, h = r[row], d[row] / -r[row]
-    near = (r <= 2.0 * delta).nonzero()[0]  # N, x's own rows among them
-    u, q = d[near] * w[near, None], delta * w[near]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pull = resultant + (delta * w_sum) * (matrix @ h) + (q * (u @ h) - 1.0) @ u - q.sum() * h
-        bound = delta * delta * (w @ w) - q @ q + len(near) + 4e-15 * d.size * len(d)
-    return bool(bound < math.sqrt(pull @ pull) < math.inf)  # never on inf or NaN
+    H = w_sum * matrix (never where w_sum overflows), in one scan: sum_i (delta /
+    r_i)^2 from w @ w in [1e-200, 1e200], else from the ratios delta / r_i."""
+    if not w_sum < math.inf:
+        return False
+    delta, h = float(r[row]), d[row] / -r[row]  # h = (y - x) / delta
+    pull = resultant + (delta * w_sum) * (matrix @ h) + h  # delta * w_sum <= n
+    ww = float(w @ w) if delta > 1e-140 else 0.0  # w_i <= 1 / delta: no overflow
+    t2 = (delta * math.sqrt(ww)) ** 2 if 1e-200 < ww < 1e200 else (delta * w) @ (delta * w)
+    return bool(2.0 * t2 - 1.0 + 4e-15 * d.size * len(d) < math.sqrt(pull @ pull))
 
 
 def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +200,7 @@ def _sign_resultant(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     overflows (r_i < ~5.6e-309) the sum of the spatial signs of the rows d_i."""
     with np.errstate(over="ignore"):
         w = 1.0 / r
-    return (spatial_signs(d).sum(axis=0) if np.isinf(w).any() else w @ d), w
+    return (spatial_signs(d).sum(axis=0) if w.max(initial=0.0) == math.inf else w @ d), w
 
 
 def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,26 +210,17 @@ def _radii(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diffs, r, r.sum(axis=1)
 
 
-def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A_j^-1 b_j per slice, NaN where A_j is singular."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # raised for the whole batch: go slice by slice
-        if len(b) == 1:
-            return np.full_like(b, np.nan)
-        return np.concatenate([_solve_each(A[j:j + 1], b[j:j + 1]) for j in range(len(b))])
+def _harmonic(r: np.ndarray) -> tuple[float, np.ndarray]:
+    """(1 / sum_i 1 / r_i, (1 / r) / sum_i 1 / r_i) for radii r > 0, from the
+    scale-free weights r_min / r_i <= 1, whose sum cannot overflow."""
+    s = r.min() / r
+    return r.min() / s.sum(), s / s.sum()
 
 
 def sample_mean(X) -> LocationResult:
     """Componentwise average of the observations."""
     X = _as_sample(X)
-    return LocationResult(
-        estimate=X.mean(axis=0),
-        method="mean",
-        iterations=0,
-        converged=True,
-        sample=X,
-    )
+    return LocationResult(X.mean(axis=0), "mean", iterations=0, converged=True, sample=X)
 
 
 def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
@@ -284,130 +286,178 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     # healthy iteration; two in a row without certification means the
     # iterate is pinned by extreme mass concentration
     stall_floor = 1e-3 * threshold
-    stalled, its = np.zeros((2, B), dtype=int)
+    # only far off unit scale can a step's plain sum of squares leave the float
+    # range where it decides a stop, or sum 1 / r overflow away from data points
+    extreme = bool(stall_floor.min() < 1e-130 or scale.max() > 1e150)
     small_step = np.ones(B, dtype=bool)  # certified convergence at the start
-    stale = np.zeros(B, dtype=bool)  # reached by a Weiszfeld step: no radii yet
+    n_small = B  # of them, or more where slices stopped since
+    tiny = np.zeros(B, dtype=bool)  # the last step was below the stall floor
+    stale = None  # mask of the slices whose radii a step left stale, if any
     estimates, iterations, converged = np.empty((B, p)), np.zeros(B, int), np.zeros(B, bool)
     ids = np.arange(B)  # row j of X, y and each per-slice array is slice ids[j]
     identity = np.eye(p)
 
-    def finish(done, ok):  # record the slices that stop
+    def finish(done, ok, its):  # record the slices that stop (done: a mask, or a slice for all)
         o = ids[done]
-        estimates[o], iterations[o] = y[done], its[done]
+        estimates[o], iterations[o] = y[done], its[done] if isinstance(its, np.ndarray) else its
         converged[o] = ok[done] & ~np.isnan(y[done]).any(axis=1)  # NaN: an overflowed step
 
-    for _ in range(opts.max_iterations):
+    def certified_by_zero_step(interior, resultant, k):  # the interior slices' small resultants
+        small = np.zeros(k, dtype=bool)
+        small[interior] = np.sqrt(np.vecdot(resultant, resultant)) <= resultant_bound
+        return small
+
+    # A slice that does not move stops, so it moved on every earlier pass:
+    # its iteration count is the pass's index, plus one if it moves.
+    for passes in range(opts.max_iterations):
         k = len(ids)
-        if stale.all():
+        if stale is not None and np.count_nonzero(stale) == k:
             diffs, r, objective = _radii(X, y)
-        elif stale.any():
+        elif stale is not None:
             diffs[stale], r[stale], objective[stale] = _radii(X[stale], y[stale])
-        # the slice stops this pass / is certified / would be by a zero step / tests a vertex
-        done, ok, zero_step_ok, pending = np.zeros((4, k), dtype=bool)
-        step, sel = np.zeros((k, p)), slice(None)  # sel: slices taking an interior step
+        done, ok = np.zeros((2, k), dtype=bool)  # the slice stops / is certified this pass
+        step, sel, pending, guard = np.zeros((k, p)), slice(None), None, extreme  # sel: interior
         rmin = r.min(axis=1)  # NaN if any radius is
-        near = ~(rmin > snap_gate)
-        if near.any():  # an iterate is near or on a data point
-            nearest = r.argmin(axis=1)
-            for j in np.flatnonzero(near):
+        far = rmin > snap_gate
+        if np.count_nonzero(far) < k:  # an iterate is near or on a data point
+            nearest, on_point = r.argmin(axis=1), False
+            for j in np.flatnonzero(~far):
                 if 0.0 < rmin[j] <= _OVERFLOW_RADIUS:  # 1 / r overflows: move onto it
                     y[j] = X[j, nearest[j]]
                     diffs[j], r[j], _ = (a[0] for a in _radii(X[j:j + 1], y[j:j + 1]))
                     rmin[j] = 0.0
                 elif rmin[j] > 0.0:  # all radii positive: gate and test once H is formed
-                    pending[j] = (ids[j], nearest[j]) not in failed
+                    guard = guard or rmin[j] < n * 1e-300  # sum 1 / r may overflow
+                    if (ids[j], nearest[j]) not in failed:
+                        pending = np.zeros(k, dtype=bool) if pending is None else pending
+                        pending[j] = True
                     continue
-                # zero radius <=> exact coordinate coincidence with a data point
+                on_point = True  # zero radius <=> exact coordinate coincidence with a data point
                 active = r[j] > 0.0
                 eta = int(n - np.count_nonzero(active))
                 resultant, w = _sign_resultant(diffs[j, active], r[j, active])
                 norm_res = math.sqrt(float(resultant @ resultant))
                 if norm_res <= eta:  # y is a data point passing the optimality test
                     done[j] = ok[j] = True
-                else:
-                    step[j] = ((1.0 - eta / norm_res) / float(w.sum())) * resultant
-            interior = (rmin > 0.0) & ~done
-            if not interior.all():  # else keep the arrays ungathered
-                sel = np.flatnonzero(interior)
+                    continue
+                with np.errstate(over="ignore"):
+                    w_sum = float(w.sum())  # else 1 / sum w from the scale-free weights
+                step[j] = (((1.0 - eta / norm_res) / w_sum) if w_sum < math.inf else
+                           (1.0 - eta / norm_res) * _harmonic(r[j, active])[0]) * resultant
+            if on_point:
+                sel = np.flatnonzero((rmin > 0.0) & ~done)
 
         w = 1.0 / r[sel]
         resultant = np.matmul(w[:, None], diffs[sel])[:, 0]  # sum of signs
-        zero_step_ok[sel] = np.sqrt(np.vecdot(resultant, resultant)) <= resultant_bound
-        certified = small_step[sel] & zero_step_ok[sel] & ~pending[sel]
-        if certified.any():
-            sel = np.arange(k)[sel]
-            done[sel[certified]] = ok[sel[certified]] = True
-            sel, w, resultant = sel[~certified], w[~certified], resultant[~certified]
-        stale = np.ones(k, dtype=bool)
+        interior, zero_step_ok = sel, None  # formed where a small step or a vertex needs it
+        if n_small or pending is not None:
+            zero_step_ok = certified_by_zero_step(sel, resultant, k)
+            certified = small_step & zero_step_ok & (True if pending is None else ~pending)
+            if np.count_nonzero(certified):
+                done[certified] = ok[certified] = True
+                left = ~certified[sel]
+                sel, w, resultant = np.arange(k)[sel][left], w[left], resultant[left]
         if len(w):
-            w_sum = w.sum(axis=1)
+            if guard:
+                with np.errstate(over="ignore"):
+                    w_sum = w.sum(axis=1)
+                over = np.flatnonzero(w_sum == math.inf)
+            else:
+                w_sum, over = w.sum(axis=1), ()
             weiszfeld = (1.0 / w_sum)[:, None] * resultant
             # The Newton step H^-1 R is (I - V^T V)^-1 times the Weiszfeld
             # step R / sum w, where the rows v_i = u_i sqrt(w_i / sum w)
-            # have norm at most 1, so nothing overflows at tiny radii.
-            v = rowwise(np.multiply, diffs[sel],
-                        (w * np.sqrt(w / w_sum[:, None]))[:, :, None])
-            matrix = identity - np.matmul(v.transpose(0, 2, 1), v)  # H / w_sum
+            # have norm at most 1, so nothing overflows at tiny radii. At
+            # p <= 2, V is held p-major: the same syrk bits, faster over many rows.
+            scaled = w * np.sqrt(w / w_sum[:, None])
+            for i in over:  # both from the scale-free weights
+                inverse_sum, normalized = _harmonic(r[np.arange(k)[sel][i]])
+                weiszfeld[i], scaled[i] = inverse_sum * resultant[i], w[i] * np.sqrt(normalized)
+            v = (np.multiply(diffs[sel].transpose(0, 2, 1), scaled[:, None], order="C") if p <= 2
+                 else rowwise(np.multiply, diffs[sel], scaled[:, :, None]).transpose(0, 2, 1))
+            matrix = identity - np.matmul(v, v.transpose(0, 2, 1))  # H / w_sum
             del v  # the vertex test's arrays take its place
-            at = np.arange(k)[sel]
-            for i in np.flatnonzero(pending[at]):
-                j, row = at[i], nearest[at[i]]
-                if (_vertex_ruled_out(diffs[j], r[j], w[i], resultant[i], w_sum[i],
-                                      matrix[i], row)
-                        or not _anchored_optimal_at(X[j], X[j, row])):
-                    failed.add((ids[j], row))
-                    done[j] = ok[j] = small_step[j] & zero_step_ok[j]  # its deferred certificate
-                else:  # a passing vertex snaps even where the step certifies
-                    y[j], done[j], ok[j] = X[j, row], True, True
-            if done[at].any():  # else keep sel a slice where it is one
-                sel, weiszfeld, matrix = (a[~done[at]] for a in (at, weiszfeld, matrix))
-            newton = _solve_each(matrix, weiszfeld)
-            finite = np.isfinite(newton).all(axis=1)
-            if not finite.all():  # these take the Weiszfeld step
-                sel = np.arange(k)[sel]
+            if pending is not None:
+                at = np.arange(k)[sel]
+                for i in np.flatnonzero(pending[at]):
+                    j, row = at[i], nearest[at[i]]
+                    if (_vertex_ruled_out(diffs[j], r[j], w[i], resultant[i], w_sum[i],
+                                          matrix[i], row)
+                            or not _anchored_optimal_at(X[j], X[j, row])):
+                        failed.add((ids[j], row))
+                        done[j] = ok[j] = small_step[j] & zero_step_ok[j]  # deferred certificate
+                    else:  # a passing vertex snaps even where the step certifies
+                        y[j], done[j], ok[j] = X[j, row], True, True
+                stopped = done[at]
+                if np.count_nonzero(stopped):  # else keep sel a slice where it is one
+                    sel, weiszfeld, matrix = (a[~stopped] for a in (at, weiszfeld, matrix))
+            with np.errstate(invalid="ignore"):  # NaN where the matrix is singular
+                newton = _solve(matrix, weiszfeld[..., None], signature="dd->d")[..., 0]
+            finite = np.isfinite(newton)
+            if np.count_nonzero(finite) < finite.size:  # these take the Weiszfeld step
+                finite, sel = finite.all(axis=1), np.arange(k)[sel]
                 step[sel[~finite]] = weiszfeld[~finite]
                 sel, weiszfeld, newton = sel[finite], weiszfeld[finite], newton[finite]
             trial = _radii(X[sel], y[sel] + newton)  # the next iterate's radii
             accepted = trial[2] <= objective[sel]
-            step[sel] = np.where(accepted[:, None], newton, weiszfeld)
-            if isinstance(sel, slice) and accepted.all():
-                (diffs, r, objective), stale = trial, np.zeros(k, dtype=bool)
+            if isinstance(sel, slice) and np.count_nonzero(accepted) == k:
+                step, (diffs, r, objective), stale = newton, trial, None
             else:
+                step[sel] = np.where(accepted[:, None], newton, weiszfeld)
                 tried = np.arange(k)[sel][accepted]
                 diffs[tried], r[tried], objective[tried] = (a[accepted] for a in trial)
+                stale = np.ones(k, dtype=bool)
                 stale[tried] = False
+        elif np.count_nonzero(done) == k:  # every slice stops on a zero step
+            finish(slice(None), ok, passes)
+            break
+        else:
+            stale = np.ones(k, dtype=bool)
 
         y_next = y + step
-        moved = (y_next != y).any(axis=1)  # a stopping slice has a zero step
-        step_norm = np.sqrt(np.vecdot(step, step))
-        small_step = step_norm <= threshold
-        stalled = (stalled + 1) * (step_norm <= stall_floor)
-        if moved.all():
-            y, its = y_next, its + 1
+        moved = y_next != y  # a stopping slice has a zero step
+        if extreme:  # a plain sum of squares out of range gives no norm
+            with np.errstate(over="ignore"):
+                step_norm = np.sqrt(np.vecdot(step, step))
+            lost = ~((step_norm >= 1e-140) & (step_norm <= 1e140)) & (step != 0.0).any(axis=1)
+            step_norm[lost] = row_norms(step[lost])
         else:
+            step_norm = np.sqrt(np.vecdot(step, step))
+        small_step = step_norm <= threshold
+        n_small = np.count_nonzero(small_step)
+        was_tiny = tiny  # a step below the stall floor is a small step too
+        tiny = step_norm <= stall_floor if n_small else small_step
+        if np.count_nonzero(moved) == moved.size:
+            y, its = y_next, passes + 1
+        else:
+            moved = moved.any(axis=1)
             pinned = ~(moved | done)  # cannot move at floating-point resolution
+            if zero_step_ok is None:  # resultant still holds every interior slice
+                zero_step_ok = certified_by_zero_step(interior, resultant, k)
             ok |= pinned & zero_step_ok
             done |= pinned
-            y, its = np.where(moved[:, None], y_next, y), its + moved
-        done |= stalled >= 2
-        if done.any():
-            finish(done, ok)
-            if done.all():
+            y, its = np.where(moved[:, None], y_next, y), passes + moved
+        if n_small and np.count_nonzero(tiny):
+            done |= tiny & was_tiny
+        n_done = np.count_nonzero(done)
+        if n_done:
+            if n_done == k:
+                finish(slice(None), ok, its)
                 break
+            finish(done, ok, its)
             keep = ~done  # drop the finished slices
-            ids, X, y, diffs, r, objective, stale, threshold, snap_gate, stall_floor, \
-                small_step, stalled, its = (
-                    a[keep] for a in (ids, X, y, diffs, r, objective, stale, threshold,
-                                      snap_gate, stall_floor, small_step, stalled, its))
+            ids, X, y, diffs, r, objective, threshold, snap_gate, stall_floor, \
+                small_step, tiny = (
+                    a[keep] for a in (ids, X, y, diffs, r, objective, threshold, snap_gate,
+                                      stall_floor, small_step, tiny))
+            stale = None if stale is None else stale[keep]
     else:
-        finish(np.ones(len(ids), dtype=bool), np.zeros(len(ids), dtype=bool))
+        finish(slice(None), np.zeros(len(ids), dtype=bool), opts.max_iterations)
 
     return estimates, iterations, converged
 
 
-def locate(
-    X, method: str, opts: MedianOptions | None = None, t=None
-) -> LocationResult:
+def locate(X, method: str, opts: MedianOptions | None = None, t=None) -> LocationResult:
     """Location of the sample by method: "mean", "median" (the spatial
     median under opts) or "fixed" (the given location t, which only this
     method reads)."""
@@ -420,6 +470,4 @@ def locate(
     if t is None:
         raise InvalidInputError('method "fixed" requires a location t')
     X, t = _sample_at(X, t)
-    return LocationResult(
-        estimate=t, method="fixed", iterations=0, converged=True, sample=X
-    )
+    return LocationResult(t, "fixed", iterations=0, converged=True, sample=X)

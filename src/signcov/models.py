@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
-from .linalg import require_finite, row_norms, rowwise, spatial_signs, symmetrize
+from .linalg import require_finite, rowwise, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
 GENERATORS = ("gaussian", "student_t", "singularity")
@@ -354,45 +354,3 @@ def population_sscm_mc(
     var = np.maximum(second - M * M, 0.0)
     se = np.sqrt(var / n_draws)
     return ScatterMatrix(symmetrize(M), "population", n_draws, model.mu.copy()), se
-
-
-@dataclass(frozen=True)
-class InverseMomentResult:
-    """Value of E |X - mu|^(-q), or the fact that it diverges."""
-
-    finite: bool
-    value: float | None
-    se: float | None
-    method: str  # "analytic" or "mc"
-
-
-def inverse_moment(
-    model: EllipticalModel,
-    q: float,
-    n_draws: int = 200_000,
-    stream: SeededStream | None = None,
-) -> InverseMomentResult:
-    """Probe the inverse moment E |X - mu|^(-q) of a model.
-
-    For the singularity family the answer is analytic: finite iff q < 2*gamma
-    with value 2*gamma / (2*gamma - q). For the gaussian and student_t
-    families with p >= 2 the moment is finite for the relevant range
-    q in (0, 2) (bounded density at the center) and is estimated by Monte
-    Carlo with a standard error.
-    """
-    if not q > 0:
-        raise InvalidInputError("q must be positive")
-    if model.generator == "singularity":
-        two_gamma = 2.0 * model.gamma
-        if q >= two_gamma:
-            return InverseMomentResult(False, None, None, "analytic")
-        return InverseMomentResult(True, two_gamma / (two_gamma - q), None, "analytic")
-    if stream is None:
-        stream = SeededStream(0, 0)
-    X = sample(model, n_draws, stream)
-    r = row_norms(X - model.mu)
-    r = r[r > 0.0]
-    vals = r ** (-q)
-    est = float(vals.mean())
-    se = float(vals.std() / np.sqrt(vals.size))
-    return InverseMomentResult(True, est, se, "mc")

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from signcov import (
     InvalidInputError,
-    frobenius_sq_distance,
     kron,
     row_norms,
     sign_outer,
@@ -109,21 +108,6 @@ def test_kron_mixed_product_against_dense_multiplication():
         lhs = kron(A, B) @ kron(C, D)
         rhs = kron(A @ C, B @ D)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_frobenius_sq_distance_examples():
-    assert frobenius_sq_distance(np.eye(2), np.eye(2)) == 0.0
-    assert frobenius_sq_distance(np.eye(2), np.zeros((2, 2))) == 2.0
-    rng = np.random.default_rng(17)
-    for p in (2, 3, 7):
-        u = spatial_sign(rng.standard_normal(p))
-        got = frobenius_sq_distance(np.outer(u, u), np.eye(p) / p)
-        assert got == pytest.approx(1.0 - 1.0 / p, abs=1e-12)
-
-
-def test_frobenius_sq_distance_shape_mismatch():
-    with pytest.raises(InvalidInputError):
-        frobenius_sq_distance(np.eye(2), np.eye(3))
 
 
 finite_vectors = st.lists(

@@ -18,7 +18,6 @@ from signcov import (
     element_variance,
     fixed_location_cov,
     gaussian_model,
-    inverse_moment,
     population_sscm_closed_p2,
     population_sscm_mc,
     row_norms,
@@ -218,31 +217,6 @@ def test_population_mc_generator_independence():
     joint = np.sqrt(se_g**2 + se_t**2)
     assert np.all(np.abs(g.matrix - t.matrix) <= 3.0 * joint + 1e-12)
     assert abs(g.matrix[0, 1] - 0.13397) <= 3.0 * se_g[0, 1] + 5e-6
-
-
-def test_inverse_moment_singularity_analytic():
-    res = inverse_moment(singularity_model(0.5, 2), 2.0 / 3.0)
-    assert res.finite and res.method == "analytic"
-    assert res.value == pytest.approx(3.0, rel=1e-12)
-
-    div = inverse_moment(singularity_model(0.05, 2), 1.0)
-    assert not div.finite and div.value is None
-
-
-def test_inverse_moment_gaussian_quadrature_oracle():
-    # E|X|^{-1} for the standard bivariate normal: integrate the radial
-    # density r * exp(-r^2/2) against 1/r
-    oracle, _ = integrate.quad(lambda r: np.exp(-(r**2) / 2.0), 0.0, np.inf)
-    assert oracle == pytest.approx(np.sqrt(np.pi / 2.0), abs=1e-10)
-    model = gaussian_model([0.0, 0.0], np.eye(2))
-    res = inverse_moment(model, 1.0, n_draws=400_000, stream=SeededStream(9, 0))
-    assert res.finite and res.method == "mc"
-    assert abs(res.value - oracle) <= 3.0 * res.se
-
-
-def test_inverse_moment_rejects_bad_q():
-    with pytest.raises(InvalidInputError):
-        inverse_moment(singularity_model(0.5, 2), 0.0)
 
 
 def test_model_validation():
