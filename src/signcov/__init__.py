@@ -67,9 +67,6 @@ from .simharness import (
     QQCellResult,
     ks_statistic,
     run_experiment,
-    run_gamma_sweep,
-    run_qq_experiment,
-    run_table_experiment,
     write_metadata_json,
     write_result_csv,
 )

@@ -40,14 +40,15 @@ from .location import _as_sample, _sample_at
 _KURTOSIS_FLAG_LEVEL = 100.0
 
 
+def _vec_outers(U: np.ndarray) -> np.ndarray:
+    """Rows vec(u_i u_i^T) of the rows u_i of U (n, p), as row-major flattened outers."""
+    return (U[:, :, None] * U[:, None, :]).reshape(len(U), U.shape[1] ** 2)
+
+
 def vec_sign_outers(X, t) -> np.ndarray:
     """n x p^2 matrix whose rows are vec(s(X_i - t) s(X_i - t)^T)."""
     X, t = _sample_at(X, t)
-    U = spatial_signs(rowwise(np.subtract, X, t))
-    n, p = U.shape
-    # row-major flatten of (j, i) blocks == column-major vec of the outer
-    A = U[:, :, None] * U[:, None, :]
-    return A.reshape(n, p * p)
+    return _vec_outers(spatial_signs(rowwise(np.subtract, X, t)))
 
 
 def fixed_location_cov(X, t) -> np.ndarray:
@@ -68,19 +69,14 @@ def location_sensitivity(X, t) -> np.ndarray:
     keep = r > 0.0
     if not np.any(keep):
         raise DegenerateSampleError("every observation coincides with the location")
-    D = D[keep]
-    r = r[keep]
+    D, r = D[keep], r[keep]
     n, p = D.shape
     U = D / r[:, None]          # signs
     Ur = U / r[:, None]         # x/|x|^2
     # 2 * mean_i of (u_i kron u_i)(x_i/|x_i|^2)^T, built from the vec rows
-    A = U[:, :, None] * U[:, None, :]
-    Z = A.reshape(n, p * p)
-    first = 2.0 * (Z.T @ Ur) / n
+    first = 2.0 * (_vec_outers(U).T @ Ur) / n
     m = Ur.mean(axis=0)
-    second = np.kron(m[:, None], np.eye(p))
-    third = np.kron(np.eye(p), m[:, None])
-    return first - second - third
+    return first - np.kron(m[:, None], np.eye(p)) - np.kron(np.eye(p), m[:, None])
 
 
 def joint_mean_cov(X, t) -> np.ndarray:

@@ -166,6 +166,8 @@ def _emit(payload, out_path, fmt: str = "json"):
 
 
 def cmd_estimate(args) -> int:
+    if args.asymptotics and args.output == "csv":  # the CSV form has no bundle rows
+        raise InvalidInputError("--asymptotics needs --output json")
     X, t = _read_input(args)
     scatter, loc, report = sscm_plugin(X, method=args.location, t=t)
 

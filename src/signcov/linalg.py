@@ -85,7 +85,7 @@ def _out_of_range(d2: np.ndarray) -> np.ndarray | None:
 def _rescaled(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows and norms of the rows of sub (k, p) at any magnitude, from
     the rows divided by their max-abs entry; a zero row stays zero."""
-    m = np.max(np.abs(sub), axis=1)
+    m = np.max(np.abs(sub), axis=1, initial=0.0)
     safe = np.where(m > 0.0, m, 1.0)
     scaled = sub / safe[:, None]
     norm = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
@@ -97,11 +97,7 @@ def spatial_sign(x) -> np.ndarray:
     x = require_finite(x, "spatial_sign input")
     if x.ndim != 1:
         raise InvalidInputError("spatial_sign expects a 1-d vector")
-    m = np.max(np.abs(x)) if x.size else 0.0
-    if m == 0.0:
-        return np.zeros_like(x)
-    v = x / m
-    return v / np.sqrt(v @ v)
+    return spatial_signs(x[None])[0]
 
 
 def spatial_signs(X: np.ndarray) -> np.ndarray:

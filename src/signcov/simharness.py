@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInputError, from_json_object, reject_unknown_keys
 from .linalg import rowwise, spatial_signs
-from .location import MedianOptions, _spatial_medians
+from .location import MedianOptions, _block_means, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
@@ -278,14 +278,6 @@ def _table_values(c, payload, U) -> np.ndarray:
     S = U.transpose(0, 2, 1) @ U / n
     S[:, range(p), range(p)] -= 1.0 / p
     return n * (S * S).reshape(B, -1).sum(axis=1)
-
-
-def _block_means(X) -> np.ndarray:
-    """X.mean(axis=1) of a block X (B, n, p) bit for bit. At p = 2 numpy adds
-    the rows in order, so a running sum per coordinate has its bits, faster."""
-    if X.shape[2] != 2:  # at p = 1 numpy sums pairwise
-        return X.mean(axis=1)
-    return np.add.accumulate(X.transpose(2, 0, 1), axis=2)[..., -1].T / X.shape[1]
 
 
 def _block_values(config, payload, X) -> np.ndarray:
@@ -638,28 +630,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         wall_time=time.perf_counter() - start,
         extras=extras,
     )
-
-
-def _expect(config: ExperimentConfig, statistic: str) -> ExperimentConfig:
-    if config.statistic != statistic:
-        raise InvalidInputError(f"config.statistic must be {statistic!r}")
-    return config
-
-
-def run_table_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Average of n * ||SSCM - (1/p) I||^2 per (p, n, method) cell."""
-    return run_experiment(_expect(config, "table"), workers)
-
-
-def run_qq_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Replication values of sqrt(n) * (SSCM[i,j] - S[i,j]) per (n, method),
-    paired with N(0, sigma^2) reference quantiles (see _qq_reference)."""
-    return run_experiment(_expect(config, "qq"), workers)
-
-
-def run_gamma_sweep(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Mean absolute error of the (1, 2) element per (p, gamma, n, method)."""
-    return run_experiment(_expect(config, "sweep"), workers)
 
 
 # ---------------------------------------------------------------------------

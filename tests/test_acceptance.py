@@ -28,9 +28,7 @@ from signcov import (
     location_sensitivity,
     population_sscm_closed_p2,
     population_sscm_mc,
-    run_gamma_sweep,
-    run_qq_experiment,
-    run_table_experiment,
+    run_experiment,
     sample,
     sandwich_cov,
     singularity_model,
@@ -95,7 +93,7 @@ def test_criterion_2_table_gaussian_p10_row():
         master_seed=20240201,
         p_grid=(10,),
     )
-    res = run_table_experiment(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     worst = 0.0
     for c in res.cells:
         worst = max(worst, abs(c.mean - TABLE1_P10[(c.n, c.method)]))
@@ -125,7 +123,7 @@ def test_criterion_3_table_p1000_gram_path():
         p_grid=(1000,),
         location_methods=("known",),
     )
-    res = run_table_experiment(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     c = res.cells[0]
     ok = abs(c.mean - 0.999) <= 0.01
     report("3", ok, f"p=1000 n=5 known cell {c.mean:.5f} within 0.01 of 0.999")
@@ -146,7 +144,7 @@ def test_criterion_4_table_t2_p10_row():
         master_seed=20240203,
         p_grid=(10,),
     )
-    res = run_table_experiment(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     cells = {(c.n, c.method): c for c in res.cells}
     worst = 0.0
     for n, tgt in TABLE2_P10_KNOWN.items():
@@ -182,7 +180,7 @@ def test_criterion_5_normal_limit_median_location():
         master_seed=20240204,
         location_methods=("median",),
     )
-    res = run_qq_experiment(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     c = res.cells[0]
     var = float(c.values.var())
     rel = abs(var / c.sigma2 - 1.0)
@@ -243,7 +241,7 @@ def test_criterion_7_t2_non_normality_separation():
         master_seed=20240205,
         location_methods=("mean", "median"),
     )
-    res = run_qq_experiment(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     ks = {}
     for c in res.cells:
         ks[c.method] = ks_statistic(c.values, float(c.values.var()))
@@ -295,7 +293,7 @@ def sweep_result():
         p_grid=(2,),
         gamma_grid=(0.05, 0.45),
     )
-    res = run_gamma_sweep(cfg, workers=WORKERS)
+    res = run_experiment(cfg, workers=WORKERS)
     return {(c.gamma, c.n, c.method): c for c in res.cells}
 
 
@@ -437,7 +435,7 @@ def test_criterion_10_invariant_suites(tmp_path):
     )
     blobs = []
     for workers in (1, 2, 8):
-        res = run_table_experiment(cfg, workers=workers)
+        res = run_experiment(cfg, workers=workers)
         path = tmp_path / f"det_{workers}.csv"
         write_result_csv(res, path)
         blobs.append(path.read_bytes())

@@ -125,6 +125,18 @@ def test_estimate_csv_output(tmp_path, capsys):
     assert any(line.startswith("sscm,1,1,") for line in lines)
 
 
+def test_estimate_asymptotics_as_csv_exits_2_before_estimating(tmp_path, capsys,
+                                                               monkeypatch):
+    # the CSV form has no asymptotics rows, so the bundle would be dropped silently
+    csv_path = write(tmp_path, "tri.csv", TRIANGLE_CSV)
+    out_file = tmp_path / "result.csv"
+    monkeypatch.setattr(signcov.cli, "sscm_plugin", lambda *a, **k: pytest.fail("estimated"))
+    code, out, err = run(capsys, ["estimate", csv_path, "--asymptotics", "--output", "csv",
+                                  "--out", str(out_file)])
+    assert code == 2 and out == "" and not out_file.exists()
+    assert "--asymptotics" in err and "json" in err
+
+
 def test_estimate_with_asymptotics(tmp_path, capsys):
     rng = np.random.default_rng(71)
     X = rng.standard_normal((50, 2))

@@ -71,6 +71,18 @@ def test_sample_mean_empty_errors():
         sample_mean(np.empty((0, 2)))
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 10])
+def test_sample_mean_keeps_numpy_mean_bits(p):
+    # sample_mean is the harness's block mean at B = 1, whose p = 2 running sum
+    # has numpy's bits on C-ordered rows; other layouts take numpy's own mean
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 1000, 20_000):
+        for scale in (1e-300, 1e-3, 1.0, 1e5, 1e300):
+            X = scale * rng.standard_normal((n, p))
+            for Y in (X, np.asfortranarray(X)):
+                assert sample_mean(Y).estimate.tobytes() == Y.mean(axis=0).tobytes()
+
+
 # (sample, fixed location): anchored and free estimates for every method
 LOCATE_CASES = {
     "heavy_point": (np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0]]), np.array([5.0, 5.0])),

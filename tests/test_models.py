@@ -21,7 +21,7 @@ from signcov import (
     population_sscm_closed_p2,
     population_sscm_mc,
     row_norms,
-    run_qq_experiment,
+    run_experiment,
     sample,
     sign_moments,
     singularity_model,
@@ -421,7 +421,7 @@ def test_qq_run_draws_only_replication_streams(monkeypatch):
         return _stream_keys(master_seed, indices)
 
     monkeypatch.setattr(harness, "_stream_keys", recording_keys)
-    run_qq_experiment(_qq_config(3), workers=1)
+    run_experiment(_qq_config(3), workers=1)
     assert sorted(keyed) == list(range(2 * 5))  # cell_index * R + rep
 
 

@@ -25,9 +25,6 @@ from signcov import (
     gaussian_model,
     ks_statistic,
     run_experiment,
-    run_gamma_sweep,
-    run_qq_experiment,
-    run_table_experiment,
     sample,
     singularity_model,
     spatial_signs,
@@ -223,7 +220,7 @@ def test_config_unknown_key_rejected():
 
 def test_table_grid_completeness_and_se():
     cfg = small_table_config()
-    res = run_table_experiment(cfg, workers=1)
+    res = run_experiment(cfg, workers=1)
     assert len(res.cells) == 2 * 2 * 3
     assert all(c.se >= 0.0 for c in res.cells)
     assert all(c.replications == 40 for c in res.cells)
@@ -231,8 +228,8 @@ def test_table_grid_completeness_and_se():
 
 def test_table_determinism_same_seed():
     cfg = small_table_config()
-    a = run_table_experiment(cfg, workers=1)
-    b = run_table_experiment(cfg, workers=1)
+    a = run_experiment(cfg, workers=1)
+    b = run_experiment(cfg, workers=1)
     assert all(
         x.mean == y.mean and x.se == y.se for x, y in zip(a.cells, b.cells)
     )
@@ -247,7 +244,7 @@ def test_worker_count_independence(tmp_path):
     for cfg in (small_table_config(replications=30), ragged):
         paths = []
         for workers in (1, 2, 3, 4):
-            res = run_table_experiment(cfg, workers=workers)
+            res = run_experiment(cfg, workers=workers)
             path = tmp_path / f"table_{workers}.csv"
             write_result_csv(res, path)
             paths.append(path.read_bytes())
@@ -261,10 +258,10 @@ def test_blocks_above_64_match_blocks_of_at_most_64(tmp_path, monkeypatch, worke
     cfg = small_table_config(p_grid=(10,), n_grid=(5, 30), replications=400)
     assert [harness._block_size(n, 10) for n in cfg.n_grid] == [327, 109]
     budget, capped = tmp_path / "budget.csv", tmp_path / "capped.csv"
-    write_result_csv(run_table_experiment(cfg, workers=workers), budget)
+    write_result_csv(run_experiment(cfg, workers=workers), budget)
     rule = harness._block_size
     monkeypatch.setattr(harness, "_block_size", lambda n, p: min(64, rule(n, p)))
-    write_result_csv(run_table_experiment(cfg, workers=workers), capped)
+    write_result_csv(run_experiment(cfg, workers=workers), capped)
     assert budget.read_bytes() == capped.read_bytes()
 
 
@@ -343,7 +340,7 @@ def test_p2_block_means_match_numpy_mean_bitwise(B, n):
     rng = np.random.default_rng(1000 * B + n)
     for scale in (1e-3, 1.0, 1e5):
         X = scale * rng.standard_normal((B, n, 2))
-        assert harness._block_means(X).tobytes() == X.mean(axis=1).tobytes()
+        assert location._block_means(X).tobytes() == X.mean(axis=1).tobytes()
 
 
 def test_p1_block_means_keep_numpy_mean():
@@ -351,19 +348,19 @@ def test_p1_block_means_keep_numpy_mean():
     rng = np.random.default_rng(17)
     X = next(X for X in (rng.standard_normal((1, 1000, 1)) for _ in range(100))
              if np.add.accumulate(X[..., 0], axis=1)[0, -1] / 1000 != X.mean())
-    assert harness._block_means(X).tobytes() == X.mean(axis=1).tobytes()
+    assert location._block_means(X).tobytes() == X.mean(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_rejected(workers):
     with pytest.raises(InvalidInputError, match="workers"):
-        run_table_experiment(small_table_config(), workers=workers)
+        run_experiment(small_table_config(), workers=workers)
     qq = ExperimentConfig(
         statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE), n_grid=(10,),
         replications=4, master_seed=3,
     )
     with pytest.raises(InvalidInputError, match="workers"):
-        run_qq_experiment(qq, workers=workers)
+        run_experiment(qq, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +435,7 @@ def test_pool_capped_by_tasks_and_cpus(tmp_path, workers, cpus, expected):
     cfg = dispatch_config()
     assert {harness._block_size(n, p) for p in cfg.p_grid for n in cfg.n_grid} == {9}
     serial = tmp_path / "serial.csv"
-    write_result_csv(run_table_experiment(cfg, workers=1), serial)
+    write_result_csv(run_experiment(cfg, workers=1), serial)
     out, _ = _dispatch(tmp_path, f"""
 forks, fork = [], os.fork
 def counting_fork():
@@ -457,7 +454,7 @@ print(json.dumps({{"forks": len(forks), "no_child_left": no_child_left()}}))
 def test_task_order_kept_when_children_run_most_tasks(tmp_path):
     cfg = dispatch_config()
     serial = tmp_path / "serial.csv"
-    write_result_csv(run_table_experiment(cfg, workers=1), serial)
+    write_result_csv(run_experiment(cfg, workers=1), serial)
     out, records = _dispatch(tmp_path, f"""
 harness._run_task, harness.os.cpu_count = slow_parent, lambda: 3
 write_result_csv(harness.run_experiment(CONFIG, workers=3), "{tmp_path / 'forked.csv'}")
@@ -728,16 +725,16 @@ def test_sweep_csv_independent_of_blas_threads(tmp_path):
 # minor page faults of the second of two identical n = 20000 sweeps
 FAULT_PROBE = """
 import resource
-from signcov import ExperimentConfig, run_gamma_sweep, singularity_model
+from signcov import ExperimentConfig, run_experiment, singularity_model
 
 config = ExperimentConfig(
     statistic="sweep", model=singularity_model(0.45, 2), p_grid=(2,),
     gamma_grid=(0.45,), n_grid=(20_000,), replications=4, master_seed=3,
     location_methods=("mean", "median"),
 )
-run_gamma_sweep(config, workers=1)
+run_experiment(config, workers=1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run_gamma_sweep(config, workers=1)
+run_experiment(config, workers=1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -802,7 +799,7 @@ def test_qq_structure_and_determinism():
         master_seed=1002,
         location_methods=("mean", "median"),
     )
-    res = run_qq_experiment(cfg, workers=2)
+    res = run_experiment(cfg, workers=2)
     assert len(res.cells) == 2 * 2
     for c in res.cells:
         assert np.all(np.diff(c.values) >= 0.0)
@@ -813,7 +810,7 @@ def test_qq_structure_and_determinism():
         np.testing.assert_allclose(
             c.reference, norm.ppf(probs) * np.sqrt(c.sigma2), atol=1e-12
         )
-    res2 = run_qq_experiment(cfg, workers=1)
+    res2 = run_experiment(cfg, workers=1)
     for a, b in zip(res.cells, res2.cells):
         assert np.array_equal(a.values, b.values)
         assert a.ks == b.ks
@@ -830,23 +827,21 @@ def test_sweep_structure():
         p_grid=(2,),
         gamma_grid=(0.1, 0.3),
     )
-    res = run_gamma_sweep(cfg, workers=2)
+    res = run_experiment(cfg, workers=2)
     assert len(res.cells) == 1 * 2 * 2 * 2
     assert all(c.mean >= 0.0 and c.se >= 0.0 for c in res.cells)
     assert all(c.gamma in (0.1, 0.3) for c in res.cells)
 
 
-def test_run_experiment_dispatch_and_mismatch():
+def test_run_experiment_dispatches_on_the_statistic():
     cfg = small_table_config(replications=5)
     res = run_experiment(cfg, workers=1)
     assert res.statistic == "table"
-    with pytest.raises(InvalidInputError):
-        run_qq_experiment(cfg)
 
 
 def test_csv_and_metadata_artifacts(tmp_path):
     cfg = small_table_config(replications=10)
-    res = run_table_experiment(cfg, workers=1)
+    res = run_experiment(cfg, workers=1)
     csv_path = tmp_path / "table.csv"
     meta_path = tmp_path / "meta.json"
     write_result_csv(res, csv_path)
@@ -877,7 +872,7 @@ def test_qq_csv_rows_per_quantile_pair(tmp_path):
         master_seed=1004,
         location_methods=("median",),
     )
-    res = run_qq_experiment(cfg, workers=1)
+    res = run_experiment(cfg, workers=1)
     path = tmp_path / "qq.csv"
     write_result_csv(res, path)
     lines = path.read_text().strip().splitlines()
@@ -898,7 +893,7 @@ def test_qq_gaussian_median_near_perfect_normality():
         master_seed=1005,
         location_methods=("median",),
     )
-    res = run_qq_experiment(cfg, workers=2)
+    res = run_experiment(cfg, workers=2)
     c = res.cells[0]
     sigma = np.sqrt(c.sigma2)
     R = len(c.values)
