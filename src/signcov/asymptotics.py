@@ -19,7 +19,8 @@ All empirical covariances use 1/n normalization; the asymptotics do not
 distinguish 1/n from 1/(n-1), and 1/n matches the plug-in limit expressions.
 Observations coinciding exactly with t contribute Z = 0 to the covariances
 and are excluded from the sensitivity expectations (whose integrands are
-undefined at 0).
+undefined at 0). Observations so near t that x/|x|^2, or a sum of it over
+the sample, overflows make the sensitivity raise DegenerateSampleError.
 """
 
 from __future__ import annotations
@@ -71,12 +72,16 @@ def location_sensitivity(X, t) -> np.ndarray:
         raise DegenerateSampleError("every observation coincides with the location")
     D, r = D[keep], r[keep]
     n, p = D.shape
-    U = D / r[:, None]          # signs
-    Ur = U / r[:, None]         # x/|x|^2
-    # 2 * mean_i of (u_i kron u_i)(x_i/|x_i|^2)^T, built from the vec rows
-    first = 2.0 * (_vec_outers(U).T @ Ur) / n
-    m = Ur.mean(axis=0)
-    return first - np.kron(m[:, None], np.eye(p)) - np.kron(np.eye(p), m[:, None])
+    U = spatial_signs(D)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        Ur = U / r[:, None]  # x/|x|^2
+        # 2 * mean_i of (u_i kron u_i)(x_i/|x_i|^2)^T, built from the vec rows
+        m, first = Ur.mean(axis=0), 2.0 * (_vec_outers(U).T @ Ur) / n
+        B = first - np.kron(m[:, None], np.eye(p)) - np.kron(np.eye(p), m[:, None])
+    if not np.isfinite(B).all():
+        raise DegenerateSampleError("the sensitivity overflows: observations lie too near "
+                                    "the location")
+    return B
 
 
 def joint_mean_cov(X, t) -> np.ndarray:

@@ -39,6 +39,8 @@ from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import matrix_json
 from .location import LOCATION_METHODS, locate
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
+# models and simharness load here, though only oracle and the experiments run them:
+# bench/tests expects `import signcov.cli` to load every module its tracer wraps
 from .models import (
     EllipticalModel,
     SeededStream,
@@ -77,27 +79,26 @@ def read_numeric_csv(path) -> np.ndarray:
     if not raw:
         raise InvalidInputError(f"{path}: no data rows")
 
-    def parse_row(lineno, row):
-        out = []
-        for col, field in enumerate(row, 1):
-            try:
-                out.append(float(field))
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {lineno}, column {col}: "
-                    f"not numeric: {field.strip()!r}"
-                ) from None
-        return out
-
     # first row is a header iff any of its fields is non-numeric
     data = raw
     try:
-        [float(field) for field in raw[0][1]]
+        list(map(float, raw[0][1]))
     except ValueError:
         data = raw[1:]
         if not data:
             raise InvalidInputError(f"{path}: header but no data rows") from None
-    rows = [parse_row(lineno, row) for lineno, row in data]
+    try:
+        rows = [list(map(float, row)) for _, row in data]
+    except ValueError:  # find the first field that fails, to name it
+        for lineno, row in data:
+            for col, field in enumerate(row, 1):
+                try:
+                    float(field)
+                except ValueError:
+                    raise InvalidInputError(
+                        f"{path}: line {lineno}, column {col}: "
+                        f"not numeric: {field.strip()!r}"
+                    ) from None
 
     widths = {len(r) for r in rows}
     if len(widths) != 1:

@@ -12,8 +12,10 @@ Variants:
   over unordered pairs of the sign outer products of pairwise differences.
   Location-free. Summed by tiles of at most K pairs, K set by (n, p) alone,
   one gemm (D w) D^T each over the coordinate-major differences D with
-  weights w = 1/|d|^2 (0 on coincident pairs): memory is bounded by the
-  tile, not by n, and the bits are fixed by (n, p).
+  weights w = 1/|d|^2, 0 on coincident pairs and on the pairs j <= i. Those
+  lie in the first h columns of a tile of rows [a, b) by columns [c, e),
+  h = min(b, e) - c, and only these columns are masked. Memory is bounded by
+  the tile, not by n, and the bits are fixed by (n, p).
 
 Coincidence (an observation equal to the location) is always detected by
 exact floating-point equality of all coordinates.
@@ -116,21 +118,27 @@ def ssscm(X) -> ScatterMatrix:
 
     K = max(1, min(_PAIR_BUFFER_LIMIT // p, _SERIAL_GEMM // (p * p)))  # pairs per tile
     XT, M, pairs_used, a, c = np.ascontiguousarray(X.T), np.zeros((p, p)), 0, 0, 1
-    with np.errstate(over="ignore", divide="ignore"):  # d2 is rescued below
+    with np.errstate(over="ignore", divide="ignore"):  # masked or rescued below
         while a < n - 1:  # rows [a, b) by columns [c, e); c > a + 1 only if b = a + 1
             b, e = min(n - 1, a + max(1, K // (n - a - 1))), min(n, c + K)
             D = XT[:, a:b, None] - XT[:, None, c:e]
-            later = np.arange(c, e) > np.arange(a, b)[:, None]  # the pairs i < j
-            d2 = np.where(later, np.einsum("kij,kij->ij", D, D), 1.0)
+            d2 = np.einsum("kij,kij->ij", D, D)
+            w = 1.0 / d2
+            h = max(0, min(b, e) - c)  # the h(h + 1)/2 pairs j <= i lie in the first h columns
+            if h:
+                early = np.arange(c, c + h) <= np.arange(a, b)[:, None]
+                np.copyto(d2[:, :h], 1.0, where=early)
+                np.copyto(w[:, :h], 0.0, where=early)
             bad = _out_of_range(d2)
-            w = later / d2
-            if bad is not None:  # unit signs by max-entry rescaling, as row_norms
+            if bad is None:  # every pair i < j is distinct
+                pairs_used += (b - a) * (e - c) - h * (h + 1) // 2
+            else:  # unit signs by max-entry rescaling, as row_norms
                 sub, (i, j) = D[:, bad], np.nonzero(bad)
                 over = np.isinf(sub).any(axis=0)  # halved, such a pair's difference is finite
                 sub[:, over] = 0.5 * XT[:, a + i[over]] - 0.5 * XT[:, c + j[over]]
                 U = _rescaled(sub.T)[0]
                 D[:, bad], w[bad] = U.T, U.any(axis=1)  # w 0 on exact coincidence
-            pairs_used += int(np.count_nonzero(w))
+                pairs_used += int(np.count_nonzero(w))
             M += (D * w).reshape(p, -1) @ D.reshape(p, -1).T
             a, c = (a, e) if e < n else (b, b + 1)
 

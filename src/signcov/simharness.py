@@ -33,7 +33,6 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
-import hashlib
 import json
 import math
 import numbers
@@ -202,6 +201,8 @@ class ExperimentConfig:
         return from_json_object(d, "config", build)
 
     def digest(self) -> str:
+        import hashlib  # here, not at the top: it loads OpenSSL, which a file command never needs
+
         text = json.dumps(self.to_json_dict(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 

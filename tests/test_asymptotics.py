@@ -108,6 +108,20 @@ def test_location_sensitivity_degenerate():
         location_sensitivity(np.zeros((3, 2)), ZERO2)
 
 
+def test_location_sensitivity_overflow_near_the_location_is_degenerate():
+    # the first row lies 3.2e-320 from t: its sign is a unit row, but
+    # x/|x|^2 is past the float range, and that is an error, not a warning
+    X = np.array([[3e-320, 1e-320], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(DegenerateSampleError, match="sensitivity overflows"):
+        location_sensitivity(X, ZERO2)
+    assert np.all(np.isfinite(location_sensitivity(X[1:], ZERO2)))
+    # each row's x/|x|^2 is finite (about 1e306), but their sum over 500 rows is not
+    angles = np.linspace(0.0, 1.0, 500)
+    near = 1e-306 * np.column_stack([np.cos(angles), np.sin(angles)])
+    with pytest.raises(DegenerateSampleError, match="sensitivity overflows"):
+        location_sensitivity(np.vstack([near, X[1:]]), ZERO2)
+
+
 def test_joint_mean_cov_blocks():
     rng = np.random.default_rng(45)
     X = rng.standard_normal((500, 2)) + [0.3, -0.1]

@@ -96,6 +96,16 @@ def test_estimate_degenerate_star(tmp_path, capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("argv", [["asymptotics"], ["estimate", "--asymptotics"]])
+def test_sensitivity_overflow_exits_3(tmp_path, capsys, argv):
+    # x/|x|^2 of the first row about the fixed location 0 overflows
+    csv_path = write(tmp_path, "near.csv", "3e-320,1e-320\n1,0\n0,1\n-1,-1\n")
+    code, out, err = run(capsys, [argv[0], csv_path, *argv[1:],
+                                  "--location", "fixed", "--fixed", "0,0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: degenerate sample: the sensitivity overflows")
+
+
 def test_estimate_round_trip_precision(tmp_path, capsys):
     rng = np.random.default_rng(70)
     X = rng.standard_normal((20, 2))
@@ -535,6 +545,32 @@ def test_file_commands_load_no_scipy(tmp_path, capsys, argv):
     code, out, modules = run_fresh(argv)
     assert (code, modules) == (0, [])
     assert out == run(capsys, argv)[1]
+
+
+# imports signcov, lists the submodules then loaded, reads a submodule as an
+# attribute, star-imports it and lists the public names the star import
+# missed and those the package stored
+FRESH_PACKAGE = """
+import json, sys
+import signcov
+loaded = sorted(m for m in sys.modules if m.startswith("signcov."))
+harness = signcov.simharness.run_experiment.__module__
+namespace = {}
+exec("from signcov import *", namespace)
+public = set(signcov.__all__)
+print(json.dumps([loaded, harness, sorted(public - set(namespace)),
+                  sorted(public & set(vars(signcov)))]))
+"""
+
+
+def test_package_import_loads_no_submodule():
+    # each public name loads its module on first use and is looked up anew
+    # on every access, so the tracer's rebinding shows through the package
+    src = str(Path(signcov.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", FRESH_PACKAGE],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert json.loads(proc.stdout) == [[], "signcov.simharness", [], []], proc.stderr
 
 
 # runs the command in argv and prints whether numpy.ma was then loaded
