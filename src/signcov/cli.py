@@ -108,7 +108,9 @@ def read_numeric_csv(path) -> np.ndarray:
 
 def _read_input(args) -> tuple[np.ndarray, np.ndarray | None]:
     """The CSV sample of a file-input command and its --fixed location
-    (None unless --location fixed)."""
+    (None unless --location fixed, the one location that reads it)."""
+    if args.fixed is not None and args.location != "fixed":
+        raise InvalidInputError(f"--fixed needs --location fixed, not {args.location}")
     X = read_numeric_csv(args.input)
     if X.shape[0] < 2 or X.shape[1] < 2:
         raise InvalidInputError(
@@ -291,7 +293,7 @@ def cmd_experiment(args) -> int:
 def _print_summary(result) -> None:
     """The summary header, then one line per cell of the values its
     metadata shows, leaving out those that do not apply (None)."""
-    stat = STATISTICS[result.statistic]
+    stat = STATISTICS[result.config.statistic]
     sys.stdout.write(stat.summary_header + "\n")
     for c in result.cells:
         fields = (getattr(c, name) for name in stat.columns)

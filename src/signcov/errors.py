@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the conversion of
-malformed JSON input into them."""
+"""Exception types shared across the package, and the one JSON form of a
+dataclass: its init fields, written and read through dataclasses.fields."""
+
+import dataclasses
 
 
 class InvalidInputError(ValueError):
@@ -11,25 +13,41 @@ class DegenerateSampleError(ValueError):
     e.g. every observation coincides with the location."""
 
 
-def from_json_object(d, what: str, build):
-    """build(d) for a decoded JSON object d; a non-object, a missing key or
-    a value of the wrong type or form raises InvalidInputError."""
+def fields_to_json(obj) -> dict:
+    """obj's init fields in declaration order under their JSON keys (a
+    field's metadata "json", else its name), None left out; a tuple or a
+    numpy value as a list, a nested object as its to_json_dict."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        if not f.init or (value := getattr(obj, f.name)) is None:
+            continue
+        if isinstance(value, tuple):
+            value = list(value)
+        elif convert := getattr(value, "to_json_dict", getattr(value, "tolist", None)):
+            value = convert()
+        out[f.metadata.get("json", f.name)] = value
+    return out
+
+
+def fields_from_json(cls, d, what: str, ignored=frozenset()):
+    """cls built by its constructor from the decoded JSON object d, a
+    field's metadata "read" applied to its value. A non-object, a key that
+    is neither a field's nor ignored, a missing key without a default, or a
+    value of the wrong type or form raises InvalidInputError."""
     if not isinstance(d, dict):
         raise InvalidInputError(f"{what} must be an object")
+    fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls) if f.init}
+    if unknown := sorted(set(d).difference(fields, ignored)):
+        raise InvalidInputError(f"{what} has unknown key(s): {', '.join(map(repr, unknown))}")
     try:
-        return build(d)
-    except KeyError as exc:
-        raise InvalidInputError(f"{what} missing key {exc}") from None
+        kwargs = {}
+        for key, f in fields.items():
+            if key in d:
+                kwargs[f.name] = f.metadata.get("read", lambda v: v)(d[key])
+            elif f.default is dataclasses.MISSING:
+                raise InvalidInputError(f"{what} missing key {key!r}")
+        return cls(**kwargs)
     except InvalidInputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"invalid {what}: {exc}") from None
-
-
-def reject_unknown_keys(d: dict, known, what: str) -> None:
-    """Raise InvalidInputError naming every key of d that is not in known."""
-    unknown = sorted(set(d).difference(known))
-    if unknown:
-        raise InvalidInputError(
-            f"{what} has unknown key(s): {', '.join(map(repr, unknown))}"
-        )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, from_json_object, reject_unknown_keys
+from .errors import InvalidInputError, fields_from_json, fields_to_json
 from .linalg import require_finite, rowwise, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
@@ -39,8 +39,7 @@ GENERATORS = ("gaussian", "student_t", "singularity")
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx), pool size 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-# the model JSON keys, and the parameter (nu or gamma) each generator takes
-_MODEL_KEYS = frozenset({"generator", "mu", "V", "nu", "gamma"})
+# the parameter (nu or gamma) each generator takes
 _PARAMETER = {"gaussian": None, "student_t": "nu", "singularity": "gamma"}
 
 
@@ -162,33 +161,13 @@ class EllipticalModel:
         return self.mu.size
 
     def to_json_dict(self) -> dict:
-        d = {
-            "generator": self.generator,
-            "mu": self.mu.tolist(),
-            "V": self.V.tolist(),
-        }
-        if self.nu is not None:
-            d["nu"] = self.nu
-        if self.gamma is not None:
-            d["gamma"] = self.gamma
-        return d
+        return fields_to_json(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EllipticalModel":
         """The model that d describes; a key no generator reads (say, a
         misspelling) raises, as does nu or gamma on another generator."""
-
-        def build(d):
-            reject_unknown_keys(d, _MODEL_KEYS, "model")
-            return cls(
-                generator=d["generator"],
-                mu=np.asarray(d["mu"], dtype=float),
-                V=np.asarray(d["V"], dtype=float),
-                nu=d.get("nu"),
-                gamma=d.get("gamma"),
-            )
-
-        return from_json_object(d, "model JSON", build)
+        return fields_from_json(cls, d, "model JSON")
 
     @classmethod
     def from_json(cls, text: str) -> "EllipticalModel":

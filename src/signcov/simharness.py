@@ -47,7 +47,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InvalidInputError, from_json_object, reject_unknown_keys
+from .errors import InvalidInputError, fields_from_json, fields_to_json
 from .linalg import rowwise, spatial_signs
 from .location import MedianOptions, _block_means, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
@@ -64,12 +64,6 @@ from .scatter import _gram_error
 
 METHODS = ("known", "mean", "median")
 
-# the keys ExperimentConfig.from_json_dict reads and to_json_dict writes
-_CONFIG_KEYS = frozenset({
-    "statistic", "model", "n_grid", "replications", "master_seed", "methods",
-    "p_grid", "gamma_grid", "element", "median_tolerance",
-    "median_max_iterations",
-})
 # read and ignored: ref_draws sized the Monte Carlo qq reference of older versions
 _LEGACY_CONFIG_KEYS = frozenset({"ref_draws"})
 
@@ -93,11 +87,11 @@ class ExperimentConfig:
     """
 
     statistic: str
-    model: EllipticalModel
+    model: EllipticalModel = field(metadata={"read": EllipticalModel.from_json_dict})
     n_grid: tuple[int, ...]
     replications: int
     master_seed: int
-    location_methods: tuple[str, ...] = ("known", "mean", "median")
+    location_methods: tuple[str, ...] = field(default=METHODS, metadata={"json": "methods"})
     p_grid: tuple[int, ...] = ()
     gamma_grid: tuple[float, ...] = ()
     element: tuple[int, int] = (0, 1)
@@ -109,24 +103,21 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("replications", "master_seed", "median_max_iterations"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        for name in ("n_grid", "p_grid"):
+        for name in ("n_grid", "p_grid", "element"):
             object.__setattr__(self, name, tuple(_whole(k, name) for k in getattr(self, name)))
-        object.__setattr__(
-            self, "gamma_grid", tuple(float(g) for g in self.gamma_grid)
-        )
-        object.__setattr__(
-            self, "location_methods", tuple(self.location_methods)
-        )
-        object.__setattr__(self, "element", tuple(int(k) for k in self.element))
+        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
+        object.__setattr__(self, "location_methods", tuple(self.location_methods))
+        object.__setattr__(self, "median_tolerance", float(self.median_tolerance))
         object.__setattr__(self, "median_options", MedianOptions(
-            tolerance=self.median_tolerance,
-            max_iterations=self.median_max_iterations,
-        ))
+            self.median_tolerance, self.median_max_iterations))
         self.validate()
 
     def validate(self):
         if self.statistic not in STATISTICS:
             raise InvalidInputError(f"unknown statistic {self.statistic!r}")
+        for f in dataclasses.fields(self):
+            if f.name in STATISTICS[self.statistic].unread and getattr(self, f.name) != f.default:
+                raise InvalidInputError(f"{f.name} does not apply to {self.statistic}")
         if self.replications < 1:
             raise InvalidInputError("replications must be at least 1")
         if not self.n_grid or any(n < 1 for n in self.n_grid):
@@ -140,9 +131,9 @@ class ExperimentConfig:
             raise InvalidInputError("master_seed must be non-negative")
         if len(self.element) != 2:
             raise InvalidInputError("element must be a pair of indices")
+        if self.statistic != "qq" and (not self.p_grid or any(p < 2 for p in self.p_grid)):
+            raise InvalidInputError(f"{self.statistic} needs a p_grid of dimensions >= 2")
         if self.statistic == "table":
-            if not self.p_grid or any(p < 2 for p in self.p_grid):
-                raise InvalidInputError("table needs a p_grid of dimensions >= 2")
             if np.any(self.model.mu != 0.0) or not np.array_equal(
                 self.model.V, np.eye(self.model.p)
             ):
@@ -150,55 +141,21 @@ class ExperimentConfig:
                     "table experiments are defined for spherical models"
                 )
         elif self.statistic == "sweep":
-            if not self.p_grid or any(p < 2 for p in self.p_grid):
-                raise InvalidInputError("sweep needs a p_grid of dimensions >= 2")
             if not self.gamma_grid or any(g <= 0 for g in self.gamma_grid):
                 raise InvalidInputError("sweep needs a gamma_grid of positive values")
             if self.model.generator != "singularity":
                 raise InvalidInputError("sweep requires a singularity model")
-        else:  # qq
-            i, j = self.element
-            p = self.model.p
-            if not (0 <= i < p and 0 <= j < p):
-                raise InvalidInputError("element indices out of range")
+        elif not all(0 <= k < self.model.p for k in self.element):  # qq
+            raise InvalidInputError("element indices out of range")
 
     def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "model": self.model.to_json_dict(),
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "methods": list(self.location_methods),
-            "p_grid": list(self.p_grid),
-            "gamma_grid": list(self.gamma_grid),
-            "element": list(self.element),
-            "median_tolerance": self.median_tolerance,
-            "median_max_iterations": self.median_max_iterations,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         """The config that d describes; a key this does not read (say, a
         misspelled optional key) raises rather than leave its default."""
-
-        def build(d):
-            reject_unknown_keys(d, _CONFIG_KEYS | _LEGACY_CONFIG_KEYS, "config")
-            return cls(
-                statistic=d["statistic"],
-                model=EllipticalModel.from_json_dict(d["model"]),
-                n_grid=tuple(d["n_grid"]),
-                replications=d["replications"],
-                master_seed=d["master_seed"],
-                location_methods=tuple(d.get("methods", METHODS)),
-                p_grid=tuple(d.get("p_grid", ())),
-                gamma_grid=tuple(d.get("gamma_grid", ())),
-                element=tuple(d.get("element", (0, 1))),
-                median_tolerance=float(d.get("median_tolerance", 1e-10)),
-                median_max_iterations=d.get("median_max_iterations", 1000),
-            )
-
-        return from_json_object(d, "config", build)
+        return fields_from_json(cls, d, "config", ignored=_LEGACY_CONFIG_KEYS)
 
     def digest(self) -> str:
         import hashlib  # here, not at the top: it loads OpenSSL, which a file command never needs
@@ -236,11 +193,8 @@ class QQCellResult:
 
 @dataclass
 class ExperimentResult:
-    statistic: str
-    cells: list
-    master_seed: int
     config: ExperimentConfig
-    config_digest: str
+    cells: list
     wall_time: float
     extras: dict = field(default_factory=dict)
 
@@ -531,9 +485,10 @@ class _Statistic:
     """One experiment family: its cells as (grid coordinates, model) pairs,
     the values a block of replications records from its spatial signs about
     one location (see _block_values), the reduction of a cell's values for
-    one method, and the layout of each artifact: CSV header and rows,
-    summary header, and the result attributes (columns) that the metadata
-    cells and the summary lines show."""
+    one method, the layout of each artifact: CSV header and rows, summary
+    header, and the result attributes (columns) that the metadata cells and
+    the summary lines show, and the config fields it never reads, which a
+    config must leave at their defaults."""
 
     grid: Callable
     value: Callable
@@ -542,6 +497,7 @@ class _Statistic:
     csv_rows: Callable
     summary_header: str
     columns: tuple
+    unread: tuple
 
 
 STATISTICS = {
@@ -561,6 +517,7 @@ STATISTICS = {
         ],
         summary_header="p n method mean se",
         columns=("p", "gamma", "n", "method", "mean", "se"),
+        unread=("gamma_grid", "element"),
     ),
     "qq": _Statistic(
         grid=lambda c: [({"n": n}, c.model) for n in c.n_grid],
@@ -576,6 +533,7 @@ STATISTICS = {
         ],
         summary_header="n method sigma2 ks",
         columns=("n", "method", "sigma2", "ks"),
+        unread=("p_grid", "gamma_grid"),
     ),
     "sweep": _Statistic(
         grid=lambda c: [
@@ -591,6 +549,7 @@ STATISTICS = {
                              _fmt(c.mean), _fmt(c.se), c.replications]],
         summary_header="p gamma n method mean_abs_error se",
         columns=("p", "gamma", "n", "method", "mean", "se"),
+        unread=("element",),
     ),
 }
 
@@ -623,11 +582,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         for k, method in enumerate(config.location_methods)
     ]
     return ExperimentResult(
-        statistic=config.statistic,
-        cells=cells,
-        master_seed=config.master_seed,
         config=config,
-        config_digest=config.digest(),
+        cells=cells,
         wall_time=time.perf_counter() - start,
         extras=extras,
     )
@@ -643,7 +599,7 @@ def _fmt(x: float) -> str:
 
 def write_result_csv(result: ExperimentResult, path) -> None:
     """One CSV row per cell (table/sweep) or per quantile pair (qq)."""
-    stat = STATISTICS[result.statistic]
+    stat = STATISTICS[result.config.statistic]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(stat.csv_header)
@@ -654,11 +610,12 @@ def write_result_csv(result: ExperimentResult, path) -> None:
 def write_metadata_json(result: ExperimentResult, path) -> None:
     from . import __version__
 
+    config = result.config
     meta = {
-        "statistic": result.statistic,
-        "config": result.config.to_json_dict(),
-        "config_digest": result.config_digest,
-        "master_seed": result.master_seed,
+        "statistic": config.statistic,
+        "config": config.to_json_dict(),
+        "config_digest": config.digest(),
+        "master_seed": config.master_seed,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -667,7 +624,7 @@ def write_metadata_json(result: ExperimentResult, path) -> None:
         "wall_time": result.wall_time,
         "extras": result.extras,
         "cells": [
-            {a: getattr(c, a) for a in STATISTICS[result.statistic].columns}
+            {a: getattr(c, a) for a in STATISTICS[config.statistic].columns}
             for c in result.cells
         ],
     }

@@ -147,6 +147,21 @@ def test_estimate_asymptotics_as_csv_exits_2_before_estimating(tmp_path, capsys,
     assert "--asymptotics" in err and "json" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--fixed", "100,100"],
+    ["estimate", "--location", "mean", "--fixed", "0,0"],
+    ["asymptotics", "--location", "median", "--fixed", "abc"],
+    ["asymptotics", "--fixed", "0,0"],
+])
+def test_fixed_without_fixed_location_exits_2(tmp_path, capsys, argv):
+    # the location --fixed names would be ignored for any other --location
+    csv_path = write(tmp_path, "tri.csv", TRIANGLE_CSV)
+    out_file = tmp_path / "result.json"
+    code, out, err = run(capsys, [argv[0], csv_path, *argv[1:], "--out", str(out_file)])
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.startswith("error: --fixed needs --location fixed")
+
+
 def test_estimate_with_asymptotics(tmp_path, capsys):
     rng = np.random.default_rng(71)
     X = rng.standard_normal((50, 2))
@@ -311,6 +326,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, body, key):
     assert code == 2
     assert err.startswith("error:")
     assert repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+SWEEP_CFG = {"statistic": "sweep", "model": {**SPHERICAL2, "generator": "singularity",
+             "gamma": 0.1}, "p_grid": [3], "gamma_grid": [0.1], "n_grid": [5],
+             "replications": 2, "master_seed": 1}
+
+
+@pytest.mark.parametrize("command,body,key", [
+    ("sweep", {**SWEEP_CFG, "element": [7, 9]}, "element"),
+    ("sweep", {**SWEEP_CFG, "element": [0, 2]}, "element"),
+    ("table", {**TABLE_CFG, "element": [1, 0]}, "element"),
+    ("table", {**TABLE_CFG, "gamma_grid": [0.5]}, "gamma_grid"),
+    ("qq", {**QQ_CFG, "p_grid": [9]}, "p_grid"),
+    ("qq", {**QQ_CFG, "gamma_grid": [0.5]}, "gamma_grid"),
+])
+def test_config_key_its_statistic_does_not_read_exits_2(tmp_path, capsys, command, body,
+                                                        key):
+    cfg_path = write(tmp_path, "cfg.json", json.dumps(body))
+    code, out, err = run(capsys, [command, "--config", cfg_path,
+                                  "--out", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} does not apply to {command}\n"
     assert not (tmp_path / "out").exists()
 
 

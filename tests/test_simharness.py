@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
@@ -125,6 +126,9 @@ def test_config_validation():
             master_seed=1,
             element=(0, 5),
         )
+    with pytest.raises(InvalidInputError, match="element"):  # not run as (0, 1)
+        ExperimentConfig(statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE),
+                         n_grid=(10,), replications=5, master_seed=1, element=(0.7, 1))
 
 
 @pytest.mark.parametrize(
@@ -208,14 +212,67 @@ def test_config_json_round_trip_and_digest():
     assert back == cfg
     assert back.digest() == cfg.digest()
     assert cfg.fast_profile().replications == 4
-    # every key written is a key read
-    assert set(cfg.to_json_dict()) == harness._CONFIG_KEYS
 
 
 def test_config_unknown_key_rejected():
     d = small_table_config().to_json_dict()
     with pytest.raises(InvalidInputError, match="'median_tolerence'"):
         ExperimentConfig.from_json_dict({**d, "median_tolerence": 0})
+
+
+def test_config_of_required_keys_only_takes_the_field_defaults():
+    model = gaussian_model([0.0, 0.0], SHAPE)
+    required = dict(statistic="qq", n_grid=(5,), replications=3, master_seed=7)
+    cfg = ExperimentConfig.from_json_dict(
+        {**required, "n_grid": [5], "model": model.to_json_dict()})
+    assert cfg == ExperimentConfig(model=model, **required)
+    assert list(cfg.to_json_dict()) == [
+        "statistic", "model", "n_grid", "replications", "master_seed", "methods",
+        "p_grid", "gamma_grid", "element", "median_tolerance", "median_max_iterations",
+    ]
+
+
+SPHERICAL3 = gaussian_model([0.0, 0.0, 0.0], np.eye(3))
+UNREAD_BASE = {
+    "table": dict(statistic="table", model=SPHERICAL3, p_grid=(3,)),
+    "qq": dict(statistic="qq", model=SPHERICAL3),
+    "sweep": dict(statistic="sweep", model=singularity_model(0.3, 3), p_grid=(3,),
+                  gamma_grid=(0.3,)),
+}
+
+
+@pytest.mark.parametrize("statistic,key,value", [
+    ("table", "element", (0, 2)), ("table", "gamma_grid", (0.5,)),
+    ("qq", "p_grid", (9,)), ("qq", "gamma_grid", (0.5,)),
+    ("sweep", "element", (7, 9)), ("sweep", "element", (0, 2)),
+])
+def test_config_rejects_a_field_its_statistic_does_not_read(statistic, key, value):
+    # the statistic would ignore the value and the metadata record it as used
+    base = dict(UNREAD_BASE[statistic], n_grid=(5,), replications=2, master_seed=1)
+    cfg = ExperimentConfig(**base)
+    # the defaults the writer spells out read back
+    assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    with pytest.raises(InvalidInputError, match=f"^{key} does not apply to {statistic}$"):
+        ExperimentConfig(**base, **{key: value})
+    with pytest.raises(InvalidInputError, match=f"^{key} does not apply to {statistic}$"):
+        ExperimentConfig.from_json_dict({**cfg.to_json_dict(), key: list(value)})
+
+
+def test_readme_config_keys_match_the_config():
+    # README's example config reads, and its table of keys lists the writer's
+    # keys in order, each with its field's default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("with, e.g.,\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_json_dict(json.loads(example))
+    section = readme.split("### Experiment config keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M)
+    assert [key for key, _ in rows] == list(cfg.to_json_dict())
+    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.init]
+    assert [cell for _, cell in rows] == [
+        "required" if f.default is dataclasses.MISSING
+        else f"`{json.dumps(list(f.default) if isinstance(f.default, tuple) else f.default)}`"
+        for f in fields
+    ]
 
 
 def test_table_grid_completeness_and_se():
@@ -836,7 +893,7 @@ def test_sweep_structure():
 def test_run_experiment_dispatches_on_the_statistic():
     cfg = small_table_config(replications=5)
     res = run_experiment(cfg, workers=1)
-    assert res.statistic == "table"
+    assert res.config.statistic == "table"
 
 
 def test_csv_and_metadata_artifacts(tmp_path):
