@@ -15,12 +15,12 @@ Z_i = vec(u_i u_i^T) (column-major vec, as everywhere in the package).
 * ``sandwich_cov``         -- A J A^T with A = (sensitivity, I_{p^2}): the
   plug-in limit covariance for asymmetric F with mean location.
 
-All empirical covariances use 1/n normalization; the asymptotics do not
-distinguish 1/n from 1/(n-1), and 1/n matches the plug-in limit expressions.
-Observations coinciding exactly with t contribute Z = 0 to the covariances
-and are excluded from the sensitivity expectations (whose integrands are
-undefined at 0). Observations so near t that x/|x|^2, or a sum of it over
-the sample, overflows make the sensitivity raise DegenerateSampleError.
+All empirical covariances are one 1/n kernel over rows (``_cov``): the
+asymptotics do not tell 1/n from 1/(n-1), and 1/n matches the plug-in limits.
+An observation equal to t has a zero sign row: Z = 0 in the covariances, and
+dropped from the sensitivity expectations (undefined at 0). Observations so
+near t that x/|x|^2, or a sum of it over the sample, overflows make the
+sensitivity raise DegenerateSampleError.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import matrix_json, row_norms, rowwise, spatial_signs, symmetrize
-from .location import _as_sample, _sample_at
+from .linalg import _signs_about, matrix_json, row_norms, symmetrize
+from .location import _sample_at
 
 # flag joint-covariance estimates on samples whose coordinates show this
 # much excess kurtosis: finite second moments are the caller's
@@ -49,30 +49,31 @@ def _vec_outers(U: np.ndarray) -> np.ndarray:
 def vec_sign_outers(X, t) -> np.ndarray:
     """n x p^2 matrix whose rows are vec(s(X_i - t) s(X_i - t)^T)."""
     X, t = _sample_at(X, t)
-    return _vec_outers(spatial_signs(rowwise(np.subtract, X, t)))
+    return _vec_outers(_signs_about(X, t))
+
+
+def _cov(V: np.ndarray) -> np.ndarray:
+    """The 1/n covariance of the rows of V (n, k), the kernel of every limit covariance."""
+    if len(V) < 2:
+        raise InvalidInputError("need at least 2 observations")
+    Vc = V - V.mean(axis=0)
+    return symmetrize(Vc.T @ Vc) / len(V)
 
 
 def fixed_location_cov(X, t) -> np.ndarray:
     """Empirical covariance (1/n) of the vectorized sign outer products."""
-    X = _as_sample(X)
-    if X.shape[0] < 2:
-        raise InvalidInputError("need at least 2 observations")
-    Z = vec_sign_outers(X, t)
-    Zc = Z - Z.mean(axis=0)
-    return symmetrize(Zc.T @ Zc) / X.shape[0]
+    return _cov(vec_sign_outers(X, t))
 
 
 def location_sensitivity(X, t) -> np.ndarray:
     """Plug-in estimate of the location-sensitivity matrix (p^2 x p)."""
     X, t = _sample_at(X, t)
-    D = X - t
-    r = row_norms(D)
-    keep = r > 0.0
-    if not np.any(keep):
+    U = _signs_about(X, t)
+    keep = U.any(axis=1)  # a zero sign row is an X_i == t
+    if not keep.any():
         raise DegenerateSampleError("every observation coincides with the location")
-    D, r = D[keep], r[keep]
-    n, p = D.shape
-    U = spatial_signs(D)
+    U, r = U[keep], row_norms(X[keep] - t)
+    n, p = U.shape
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         Ur = U / r[:, None]  # x/|x|^2
         # 2 * mean_i of (u_i kron u_i)(x_i/|x_i|^2)^T, built from the vec rows
@@ -92,24 +93,20 @@ def joint_mean_cov(X, t) -> np.ndarray:
     of scope for this function.
     """
     X, t = _sample_at(X, t)
-    if X.shape[0] < 2:
-        raise InvalidInputError("need at least 2 observations")
+    return _joint_cov(X, t, vec_sign_outers(X, t))
+
+
+def _joint_cov(X: np.ndarray, t: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """joint_mean_cov from its sign rows Z; its warning names the caller's caller."""
     Xc = X - X.mean(axis=0)
-    m2 = (Xc**2).mean(axis=0)
-    m4 = (Xc**4).mean(axis=0)
+    m2, m4 = (Xc**2).mean(axis=0), (Xc**4).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         kurt = np.where(m2 > 0.0, m4 / m2**2 - 3.0, 0.0)
     if np.max(kurt) > _KURTOSIS_FLAG_LEVEL:
-        warnings.warn(
-            f"sample excess kurtosis {np.max(kurt):.1f} suggests heavy tails; "
-            "the location block of the joint covariance may be unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    Z = vec_sign_outers(X, t)
-    V = np.hstack([X - t, Z])
-    Vc = V - V.mean(axis=0)
-    return symmetrize(Vc.T @ Vc) / X.shape[0]
+        warnings.warn(f"sample excess kurtosis {np.max(kurt):.1f} suggests heavy tails; the "
+                      "location block of the joint covariance may be unreliable",
+                      RuntimeWarning, stacklevel=3)
+    return _cov(np.hstack([X - t, Z]))
 
 
 def sandwich_cov(sensitivity, joint_cov) -> np.ndarray:
@@ -179,13 +176,9 @@ class AsymptoticsBundle:
 def compute_bundle(X, t) -> AsymptoticsBundle:
     """Estimate every piece of the plug-in limit law at location t."""
     X, t = _sample_at(X, t)
-    W = fixed_location_cov(X, t)
+    Z = vec_sign_outers(X, t)
+    W = _cov(Z)
     B = location_sensitivity(X, t)
-    J = joint_mean_cov(X, t)
-    return AsymptoticsBundle(
-        fixed_cov=W,
-        sensitivity=B,
-        joint_cov=J,
-        plugin_cov=sandwich_cov(B, J),
-        n_used=X.shape[0],
-    )
+    J = _joint_cov(X, t, Z)
+    return AsymptoticsBundle(fixed_cov=W, sensitivity=B, n_used=X.shape[0], joint_cov=J,
+                             plugin_cov=sandwich_cov(B, J))

@@ -29,11 +29,15 @@ def fields_to_json(obj) -> dict:
     return out
 
 
-def fields_from_json(cls, d, what: str, ignored=frozenset()):
-    """cls built by its constructor from the decoded JSON object d, a
-    field's metadata "read" applied to its value. A non-object, a key that
-    is neither a field's nor ignored, a missing key without a default, or a
-    value of the wrong type or form raises InvalidInputError."""
+def _numeric(v) -> bool:  # JSON's "0.5" and true are no number
+    return not isinstance(v, (str, bool)) and all(map(_numeric, v if isinstance(v, list) else []))
+
+
+def fields_from_json(cls, d, what: str, ignored=frozenset(), numbers=frozenset()):
+    """cls built by its constructor from the decoded JSON object d, a field's
+    metadata "read" applied to its value. A non-object, a key neither a field's
+    nor ignored, a missing key without a default, a value of the wrong type or
+    form, or a string or a boolean under a key in numbers raises InvalidInputError."""
     if not isinstance(d, dict):
         raise InvalidInputError(f"{what} must be an object")
     fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls) if f.init}
@@ -42,6 +46,8 @@ def fields_from_json(cls, d, what: str, ignored=frozenset()):
     try:
         kwargs = {}
         for key, f in fields.items():
+            if key in numbers and key in d and not _numeric(d[key]):
+                raise InvalidInputError(f"{what} key {key!r} takes numbers, not {d[key]!r}")
             if key in d:
                 kwargs[f.name] = f.metadata.get("read", lambda v: v)(d[key])
             elif f.default is dataclasses.MISSING:

@@ -112,6 +112,15 @@ def spatial_signs(X: np.ndarray) -> np.ndarray:
     return U
 
 
+def _signs_about(X: np.ndarray, t) -> np.ndarray:
+    """spatial_signs(X - t), the one sign path about a location t, for rows X (n, p) or a
+    block (B, n, p); a zero row is an X_i equal to t. A center of +0.0 only is not
+    subtracted: X - (+0.0) is X bit for bit (X - (-0.0) turns -0.0 into +0.0)."""
+    if np.any(t) or np.signbit(t).any():
+        X = rowwise(np.subtract, X, t)
+    return spatial_signs(X)  # by its module name, so that a rebinding sees every pass
+
+
 def sign_outer(x) -> np.ndarray:
     """Rank-<=1 matrix s(x) s(x)^T; trace is 1 for x != 0, else 0."""
     u = spatial_sign(x)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, fields_from_json, fields_to_json
-from .linalg import require_finite, rowwise, spatial_signs, symmetrize
+from .linalg import _signs_about, require_finite, rowwise, spatial_signs, symmetrize
 from .scatter import ScatterMatrix
 
 GENERATORS = ("gaussian", "student_t", "singularity")
@@ -167,7 +167,7 @@ class EllipticalModel:
     def from_json_dict(cls, d: dict) -> "EllipticalModel":
         """The model that d describes; a key no generator reads (say, a
         misspelling) raises, as does nu or gamma on another generator."""
-        return fields_from_json(cls, d, "model JSON")
+        return fields_from_json(cls, d, "model JSON", numbers={"mu", "V", "nu", "gamma"})
 
     @classmethod
     def from_json(cls, text: str) -> "EllipticalModel":
@@ -326,7 +326,7 @@ def population_sscm_mc(
     if n_draws < 100:
         raise InvalidInputError("n_draws must be at least 100")
     X = sample(model, n_draws, stream)
-    U = spatial_signs(rowwise(np.subtract, X, model.mu))
+    U = _signs_about(X, model.mu)
     M = U.T @ U / n_draws
     U2 = U * U
     second = U2.T @ U2 / n_draws

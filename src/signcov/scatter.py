@@ -17,8 +17,9 @@ Variants:
   h = min(b, e) - c, and only these columns are masked. Memory is bounded by
   the tile, not by n, and the bits are fixed by (n, p).
 
-Coincidence (an observation equal to the location) is always detected by
-exact floating-point equality of all coordinates.
+Coincidence (an observation equal to the location) is exact floating-point
+equality of all coordinates: ``coincidence_report`` tests it, the estimators
+read it off the zero sign rows that ``linalg._signs_about`` returns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
-from .linalg import _out_of_range, _rescaled, rowwise, spatial_signs, symmetrize
+from .linalg import _out_of_range, _rescaled, _signs_about, symmetrize
 from .location import (
     LocationResult,
     MedianOptions,
@@ -74,7 +75,7 @@ def coincidence_report(X, t) -> CoincidenceReport:
 def sscm_fixed(X, t) -> ScatterMatrix:
     """SSCM about a fixed location: mean of s(X_i - t) s(X_i - t)^T."""
     X, t = _sample_at(X, t)
-    U = spatial_signs(rowwise(np.subtract, X, t))
+    U = _signs_about(X, t)
     S = symmetrize(U.T @ U) / X.shape[0]
     return ScatterMatrix(S, "fixed_location", X.shape[0], location_used=t.copy())
 
@@ -83,12 +84,11 @@ def sscm_star(X, t) -> ScatterMatrix:
     """Trace-1 SSCM: sign outer products averaged over the n* observations
     that do not coincide with the location."""
     X, t = _sample_at(X, t)
-    report = coincidence_report(X, t)
-    if report.n_star == 0:
+    U = _signs_about(X, t)
+    n_star = int(np.count_nonzero(U.any(axis=1)))  # the zero sign rows are the X_i == t
+    if n_star == 0:
         raise DegenerateSampleError("every observation coincides with the location")
-    U = spatial_signs(rowwise(np.subtract, X, t))
-    S = symmetrize(U.T @ U) / report.n_star
-    return ScatterMatrix(S, "starred", report.n_star, location_used=t.copy())
+    return ScatterMatrix(symmetrize(U.T @ U) / n_star, "starred", n_star, location_used=t.copy())
 
 
 def sscm_plugin(
@@ -155,7 +155,7 @@ def frobenius_error_gram(X, t) -> float:
     p >> n (cost O(n^2 p) instead of O(n p^2)).
     """
     X, t = _sample_at(X, t)
-    return float(_gram_error(spatial_signs(rowwise(np.subtract, X, t))[None])[0])
+    return float(_gram_error(_signs_about(X, t)[None])[0])
 
 
 def _gram_error(U: np.ndarray) -> np.ndarray:

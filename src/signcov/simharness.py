@@ -48,7 +48,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError, fields_from_json, fields_to_json
-from .linalg import rowwise, spatial_signs
+from .linalg import _signs_about
 from .location import MedianOptions, _block_means, _spatial_medians
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
@@ -155,7 +155,8 @@ class ExperimentConfig:
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         """The config that d describes; a key this does not read (say, a
         misspelled optional key) raises rather than leave its default."""
-        return fields_from_json(cls, d, "config", ignored=_LEGACY_CONFIG_KEYS)
+        return fields_from_json(cls, d, "config", _LEGACY_CONFIG_KEYS,
+                                numbers={"gamma_grid", "median_tolerance"})
 
     def digest(self) -> str:
         import hashlib  # here, not at the top: it loads OpenSSL, which a file command never needs
@@ -247,10 +248,7 @@ def _block_values(config, payload, X) -> np.ndarray:
             t = _block_means(X)[:, None]
         else:
             t = _spatial_medians(X, config.median_options)[0][:, None]
-        # X - (+0.0) is X bit for bit; X - (-0.0) turns -0.0 into +0.0
-        at_zero = method == "known" and not (t.any() or np.signbit(t).any())
-        out[:, k] = value(config, payload,
-                          spatial_signs(X if at_zero else rowwise(np.subtract, X, t)))
+        out[:, k] = value(config, payload, _signs_about(X, t))
     return out
 
 

@@ -140,8 +140,11 @@ def test_joint_mean_cov_flags_exploding_kurtosis():
     heavy = sample(
         student_t_model(2.0, [0.0, 0.0], np.eye(2)), 50_000, SeededStream(53, 0)
     )
-    with pytest.warns(RuntimeWarning, match="kurtosis"):
-        joint_mean_cov(heavy, ZERO2)
+    # the warning points at the caller, through either entry point
+    for entry in (joint_mean_cov, compute_bundle):
+        with pytest.warns(RuntimeWarning, match="kurtosis") as caught:
+            entry(heavy, ZERO2)
+        assert [w.filename for w in caught] == [__file__]
 
     mild = sample(gaussian_model([0.0, 0.0], np.eye(2)), 5_000, SeededStream(53, 1))
     with warnings.catch_warnings():

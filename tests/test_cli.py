@@ -244,6 +244,8 @@ TABLE_CFG = {"statistic": "table", "model": SPHERICAL2, "p_grid": [2], "n_grid":
              "replications": 2, "master_seed": 1}
 QQ_CFG = {"statistic": "qq", "model": SPHERICAL2, "n_grid": [5], "replications": 2,
           "master_seed": 1, "ref_draws": 1000}
+SWEEP2_CFG = {**TABLE_CFG, "statistic": "sweep", "gamma_grid": [0.5],
+              "model": {**SPHERICAL2, "generator": "singularity", "gamma": 0.1}}
 # (subcommand, config or model JSON) that used to end in a traceback
 MALFORMED_INPUT = {
     "config_top_level_list": ("table", [TABLE_CFG]),
@@ -255,6 +257,18 @@ MALFORMED_INPUT = {
     "config_nu_text": ("table", {**TABLE_CFG, "model": {
         **SPHERICAL2, "generator": "student_t", "nu": "x"}}),
     "model_nu_text": ("oracle", {**SPHERICAL2, "generator": "student_t", "nu": "x"}),
+    # a string or a boolean where a number is meant
+    "config_gamma_grid_text": ("sweep", {**SWEEP2_CFG, "gamma_grid": ["0.5"]}),
+    "config_gamma_grid_true": ("sweep", {**SWEEP2_CFG, "gamma_grid": [True]}),
+    "config_gamma_grid_mixed": ("sweep", {**SWEEP2_CFG, "gamma_grid": [0.5, True]}),
+    "config_median_tolerance_text": ("table", {**TABLE_CFG, "median_tolerance": "1e-8"}),
+    "config_median_tolerance_true": ("table", {**TABLE_CFG, "median_tolerance": True}),
+    "config_gamma_true": ("sweep", {**SWEEP2_CFG, "model": {**SWEEP2_CFG["model"],
+                                                            "gamma": True}}),
+    "model_mu_text": ("oracle", {**SPHERICAL2, "mu": ["0", "0"]}),
+    "model_mu_mixed": ("oracle", {**SPHERICAL2, "mu": [0.0, True]}),
+    "model_V_text": ("oracle", {**SPHERICAL2, "V": [["1", "0"], ["0", "1"]]}),
+    "model_nu_true": ("oracle", {**SPHERICAL2, "generator": "student_t", "nu": True}),
 }
 
 
@@ -270,6 +284,16 @@ def test_malformed_json_input_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_string_or_a_boolean_for_a_number_names_the_key(tmp_path, capsys):
+    # the sweep the table's cases alter runs; the error says which key it rejects
+    cfg_path = write(tmp_path, "cfg.json", json.dumps(SWEEP2_CFG))
+    assert run(capsys, ["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")])[0] == 0
+    code, out, err = run(capsys, ["oracle", "--model", json.dumps(
+        {**SPHERICAL2, "V": [[1.0, 0.0], [0.0, True]]})])
+    assert code == 2 and out == ""
+    assert err.startswith("error: model JSON key 'V' takes numbers, not")
 
 
 # a student_t model with a stray gamma and a shape key that nothing reads

@@ -276,6 +276,25 @@ def test_model_json_rejects_keys_it_does_not_read(body, match):
         EllipticalModel.from_json(json.dumps(body))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("mu", ["0", "0"]), ("mu", [0.0, True]), ("V", [["1", "0"], ["0", "1"]]),
+    ("V", [[1.0, False], [0.0, 1.0]]), ("nu", True), ("nu", "3"),
+])
+def test_model_json_takes_only_numbers_where_numbers_are_meant(key, value):
+    # JSON's "0" and true are no number; numpy values from Python still read
+    with pytest.raises(InvalidInputError, match=f"^model JSON key '{key}' takes numbers"):
+        EllipticalModel.from_json(json.dumps({**STUDENT_T, key: value}))
+    body = {**STUDENT_T, "mu": np.zeros(2), "V": np.eye(2), "nu": np.float64(3.0)}
+    assert EllipticalModel.from_json_dict(body) == student_t_model(3.0, [0.0, 0.0], np.eye(2))
+
+
+def test_singularity_model_json_rejects_a_boolean_gamma():
+    body = {"generator": "singularity", "mu": [0.0, 0.0], "V": [[1.0, 0.0], [0.0, 1.0]]}
+    assert EllipticalModel.from_json_dict({**body, "gamma": 1}).gamma == 1
+    with pytest.raises(InvalidInputError, match="^model JSON key 'gamma' takes numbers"):
+        EllipticalModel.from_json_dict({**body, "gamma": True})
+
+
 # --------------------------------------------------------------------------
 # exact sign moments
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from signcov import (
     sscm_star,
     ssscm,
 )
-from signcov import scatter
+from signcov import asymptotics, location_sensitivity, row_norms, scatter
 from _oracles import random_orthogonal, ssscm_direct
 
 
@@ -313,6 +313,45 @@ def test_coincidence_count_at_most_one_for_continuous_data():
         X = sample(model, 100, SeededStream(13, rep))
         _, loc, report = sscm_plugin(X, method="median")
         assert report.n - report.n_star <= 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).tobytes()
+    except DegenerateSampleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("t,rows", [
+    # -0.0 against +0.0; a difference of 1e-170 squares to 0
+    ([0.0, 0.0], [[-0.0, 0.0], [0.0, -0.0], [1e-170, 1e-170], [1.0, 2.0]]),
+    ([-0.0, 0.0], [[0.0, 0.0], [-0.0, -0.0], [0.5, -0.5], [0.0, 1e-170]]),
+    # 5e-324 from t: nonzero, and x/|x|^2 overflows
+    ([0.0, 0.0], [[5e-324, 0.0], [0.0, 0.0], [0.0, -5e-324], [1.0, 1.0]]),
+    # squares overflow, and t's duplicates
+    ([1e200, -1e200], [[1e200, -1e200], [-1e200, 1e200], [1.5e200, -1e200],
+                       [1e200, -1e200], [3.0, 4.0]]),
+    ([0.3, -2.0], [[0.3, -2.0]] * 4),
+    ([1.0, 1.0], [[2.0, 3.0], [1.0, 1.0 + 2.0**-52]]),
+])
+def test_coincidence_is_exact_equality_for_every_reader(t, rows, monkeypatch):
+    # the report scans X == t; sscm_star and the sensitivity read it off
+    # the zero sign rows, which must pick the same rows
+    X, t = np.array(rows), np.array(t)
+    radii_of = []
+    monkeypatch.setattr(asymptotics, "row_norms", lambda D: radii_of.append(D) or row_norms(D))
+    same = np.all(X == t, axis=1)
+    assert coincidence_report(X, t).indices_coincident == np.flatnonzero(same).tolist()
+    if same.all():
+        for estimator in (sscm_star, location_sensitivity):
+            with pytest.raises(DegenerateSampleError, match="every observation coincides"):
+                estimator(X, t)
+        return
+    assert sscm_star(X, t).n_effective == np.count_nonzero(~same)
+    dropped = _outcome(location_sensitivity, X, t)
+    assert radii_of[0].tobytes() == (X[~same] - t).tobytes()  # the rows it keeps
+    assert dropped == _outcome(location_sensitivity, X[~same], t)
+    assert dropped != "every observation coincides with the location"
 
 
 def test_plugin_too_small_sample():

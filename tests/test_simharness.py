@@ -29,6 +29,7 @@ from signcov import (
     sample,
     singularity_model,
     spatial_signs,
+    sscm_fixed,
     student_t_model,
     write_metadata_json,
     write_result_csv,
@@ -258,6 +259,21 @@ def test_config_rejects_a_field_its_statistic_does_not_read(statistic, key, valu
         ExperimentConfig.from_json_dict({**cfg.to_json_dict(), key: list(value)})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("gamma_grid", ["0.5"]), ("gamma_grid", [True]), ("gamma_grid", [0.5, True]),
+    ("median_tolerance", "1e-8"), ("median_tolerance", True),
+])
+def test_config_json_takes_only_numbers_where_numbers_are_meant(key, value):
+    # "0.5" ran as 0.5 and true as gamma = 1; numpy values from Python still read
+    body = ExperimentConfig(**UNREAD_BASE["sweep"], n_grid=(5,), replications=2,
+                            master_seed=1).to_json_dict()
+    with pytest.raises(InvalidInputError, match=f"^config key '{key}' takes numbers"):
+        ExperimentConfig.from_json_dict({**body, key: value})
+    cfg = ExperimentConfig.from_json_dict(
+        {**body, "gamma_grid": np.array([0.5]), "median_tolerance": np.float64(1e-8)})
+    assert cfg.gamma_grid == (0.5,) and cfg.median_tolerance == 1e-8
+
+
 def test_readme_config_keys_match_the_config():
     # README's example config reads, and its table of keys lists the writer's
     # keys in order, each with its field's default
@@ -352,7 +368,8 @@ def test_block_values_match_one_replication_at_a_time(case):
                                       ([0.0, 1.5], False)])
 def test_known_signs_at_a_zero_center_skip_only_a_plus_zero_subtraction(mu, skips, monkeypatch):
     # X - (+0.0) is X bit for bit; X - (-0.0) turns -0.0 into +0.0, so a
-    # center holding -0.0 keeps the subtraction
+    # center holding -0.0 keeps the subtraction; the harness and the library
+    # take their signs about a location through the same path
     model = gaussian_model(mu, SHAPE)
     config = ExperimentConfig(statistic="qq", model=model, n_grid=(6,), replications=3,
                               master_seed=5, location_methods=("known",))
@@ -360,11 +377,17 @@ def test_known_signs_at_a_zero_center_skip_only_a_plus_zero_subtraction(mu, skip
     X = np.stack([sample(model, 6, SeededStream(9, k)) for k in range(3)])
     X[:, ::2, 0] = -0.0
     signed = []
-    monkeypatch.setattr(harness, "spatial_signs",
+    monkeypatch.setattr(linalg, "spatial_signs",
                         lambda D: signed.append(D) or spatial_signs(D))
     harness._block_values(config, payload, X)
     assert signed[0].tobytes() == (X - np.asarray(mu)).tobytes()
     assert (signed[0] is X) == skips
+    X0, t = X[0], np.asarray(mu)
+    S = sscm_fixed(X0, t).matrix
+    assert signed[-1].tobytes() == (X0 - t).tobytes()
+    assert (signed[-1] is X0) == skips
+    U = spatial_signs(X0 - t)
+    assert S.tobytes() == (linalg.symmetrize(U.T @ U) / 6).tobytes()
 
 
 def test_large_n_replication_rescues_no_norm(monkeypatch):
