@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import _signs_about, matrix_json, row_norms, symmetrize
-from .location import _sample_at
+from .location import LOCATION_METHODS, _sample_at
 
 # flag joint-covariance estimates on samples whose coordinates show this
 # much excess kurtosis: finite second moments are the caller's
@@ -145,9 +145,8 @@ class AsymptoticsBundle:
 
     block_matrix is (sensitivity, I_{p^2}) and plugin_cov is
     block_matrix @ joint_cov @ block_matrix^T; joint_cov (and therefore
-    plugin_cov) is meaningful for the sample-mean location only.
-    compute_bundle fills both at any t; the CLI builds its bundle for any
-    other location method without them, so there they are None.
+    plugin_cov) is meaningful for the sample-mean location only, so
+    compute_bundle fills both for it alone; for any other they are None.
     """
 
     fixed_cov: np.ndarray
@@ -173,12 +172,16 @@ class AsymptoticsBundle:
         }
 
 
-def compute_bundle(X, t) -> AsymptoticsBundle:
-    """Estimate every piece of the plug-in limit law at location t."""
+def compute_bundle(X, t, method: str = "mean") -> AsymptoticsBundle:
+    """Estimate every piece of the plug-in limit law at the location t that method
+    ("mean", "median" or "fixed") gave; the joint and plug-in ones for "mean" only."""
+    if method not in LOCATION_METHODS:
+        raise InvalidInputError(f"unknown location method {method!r}")
     X, t = _sample_at(X, t)
     Z = vec_sign_outers(X, t)
-    W = _cov(Z)
-    B = location_sensitivity(X, t)
-    J = _joint_cov(X, t, Z)
-    return AsymptoticsBundle(fixed_cov=W, sensitivity=B, n_used=X.shape[0], joint_cov=J,
-                             plugin_cov=sandwich_cov(B, J))
+    bundle = AsymptoticsBundle(fixed_cov=_cov(Z), sensitivity=location_sensitivity(X, t),
+                               n_used=X.shape[0])
+    if method == "mean":
+        bundle.joint_cov = _joint_cov(X, t, Z)
+        bundle.plugin_cov = sandwich_cov(bundle.sensitivity, bundle.joint_cov)
+    return bundle

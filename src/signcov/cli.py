@@ -29,12 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    AsymptoticsBundle,
-    compute_bundle,
-    fixed_location_cov,
-    location_sensitivity,
-)
+from .asymptotics import compute_bundle
 from .errors import DegenerateSampleError, InvalidInputError
 from .linalg import matrix_json
 from .location import LOCATION_METHODS, locate
@@ -201,17 +196,9 @@ def cmd_estimate(args) -> int:
 
 
 def _bundle_payload(X, location_method: str, t) -> dict:
-    """Full bundle for the mean location; for any other location only the
-    fixed-location covariance and the sensitivity apply, so the joint and
-    plug-in pieces are null."""
-    if location_method == "mean":
-        bundle = compute_bundle(X, t)
-    else:
-        bundle = AsymptoticsBundle(
-            fixed_location_cov(X, t), location_sensitivity(X, t), int(X.shape[0])
-        )
+    """The bundle at the location t that location_method gave (joint and plug-in: mean only)."""
     return {
-        **bundle.to_json_dict(),
+        **compute_bundle(X, t, location_method).to_json_dict(),
         "location_used": np.asarray(t).tolist(),
         "location_method": location_method,
     }

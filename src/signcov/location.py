@@ -32,16 +32,17 @@ step and the rows v_i come from the scale-free weights r_min / r_i, and a
 step whose plain sum of squares leaves the float range has its norm
 rescaled, so the sample converges as its rescaled copy does.
 
-The iteration runs on blocks of samples (B, n, p) (``_spatial_medians``;
-``spatial_median`` is a block of one), each slice taking bit for bit the
-steps it takes alone: elementwise operations and reductions along a row or
-slice keep their order, and ``np.matmul`` (gemv, syrk), ``np.vecdot`` and
-the gesv gufunc behind ``np.linalg.solve`` run the one-sample kernel per slice,
-where an ``np.einsum`` sum across rows such as ``"bi,bij->bj"`` would not.
-At p <= 2, on arrays of more than 1024 entries, the passes over rows (X - y,
-row norms, the vertex test) run per coordinate (``linalg.rowwise``): a ufunc
-rounds each entry alone and x0*x0 + x1*x1 is the einsum's sum, so the bits
-hold; every reduction but the syrk of V^T V stays on the (B, n, p) arrays.
+Each method runs on blocks of samples (B, n, p) in ``_locations``, which
+``locate`` calls on a block of one and the harness on whole blocks. A median
+slice (``_spatial_medians``) takes bit for bit the steps it takes alone:
+elementwise operations and reductions along a row or slice keep their order,
+and ``np.matmul`` (gemv, syrk), ``np.vecdot`` and the gesv gufunc behind
+``np.linalg.solve`` run the one-sample kernel per slice, where an ``np.einsum``
+sum across rows such as ``"bi,bij->bj"`` would not. At p <= 2, on arrays of
+more than 1024 entries, the passes over rows (X - y, row norms, the vertex
+test) run per coordinate (``linalg.rowwise``): a ufunc rounds each entry alone
+and x0*x0 + x1*x1 is the einsum's sum, so the bits hold; every reduction but
+the syrk of V^T V stays on the (B, n, p) arrays.
 
 A result's anchored flag, objective and degenerate_geometry are computed
 on first read, from the sample the call received: the Monte Carlo harness
@@ -227,8 +228,7 @@ def _block_means(X) -> np.ndarray:
 
 def sample_mean(X) -> LocationResult:
     """Componentwise average of the observations."""
-    X = _as_sample(X)
-    return LocationResult(_block_means(X[None])[0], "mean", iterations=0, converged=True, sample=X)
+    return locate(X, "mean")
 
 
 def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
@@ -247,9 +247,7 @@ def spatial_median(X, opts: MedianOptions | None = None) -> LocationResult:
     the iterate at an uncertifiable point, the last iterate is returned with
     converged=False.
     """
-    X = _as_sample(X)
-    y, its, ok = _spatial_medians(X[None], opts or MedianOptions())
-    return LocationResult(y[0], "spatial_median", int(its[0]), bool(ok[0]), X)
+    return locate(X, "median", opts)
 
 
 def _componentwise_medians(X: np.ndarray) -> np.ndarray:
@@ -465,17 +463,24 @@ def _spatial_medians(X: np.ndarray, opts: MedianOptions):
     return estimates, iterations, converged
 
 
+def _locations(X: np.ndarray, method: str, opts: MedianOptions | None, t):
+    """locate on each slice of a block X (B, n, p), bit for bit: estimates (B, p),
+    iteration counts and converged flags; "fixed" repeats the checked t (p,)."""
+    if method == "median":
+        return _spatial_medians(X, opts or MedianOptions())
+    estimates = _block_means(X) if method == "mean" else np.tile(t, (len(X), 1))
+    return estimates, np.zeros(len(X), int), np.ones(len(X), bool)
+
+
 def locate(X, method: str, opts: MedianOptions | None = None, t=None) -> LocationResult:
     """Location of the sample by method: "mean", "median" (the spatial
     median under opts) or "fixed" (the given location t, which only this
     method reads)."""
-    if method == "median":
-        return spatial_median(X, opts)
-    if method == "mean":
-        return sample_mean(X)
-    if method != "fixed":
+    if method not in LOCATION_METHODS:
         raise InvalidInputError(f"unknown location method {method!r}")
-    if t is None:
+    if method == "fixed" and t is None:
         raise InvalidInputError('method "fixed" requires a location t')
-    X, t = _sample_at(X, t)
-    return LocationResult(t, "fixed", iterations=0, converged=True, sample=X)
+    X, t = _sample_at(X, t) if method == "fixed" else (_as_sample(X), None)
+    y, its, ok = _locations(X[None], method, opts, t)
+    return LocationResult(y[0], "spatial_median" if method == "median" else method,
+                          int(its[0]), bool(ok[0]), X)

@@ -143,11 +143,11 @@ class EllipticalModel:
             if getattr(self, key) is not None and key != _PARAMETER[self.generator]:
                 raise InvalidInputError(f"{key} does not apply to {self.generator}")
         if self.generator == "student_t":
-            if self.nu is None or not self.nu > 0:
-                raise InvalidInputError("student_t requires nu > 0")
+            if self.nu is None or not 0 < self.nu < np.inf:
+                raise InvalidInputError("student_t requires a finite nu > 0")
         if self.generator == "singularity":
-            if self.gamma is None or not self.gamma > 0:
-                raise InvalidInputError("singularity requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise InvalidInputError("singularity requires a finite gamma > 0")
             if np.any(mu != 0.0) or not np.array_equal(V, np.eye(mu.size)):
                 raise InvalidInputError(
                     "singularity models are defined only for mu = 0, V = I"

@@ -24,7 +24,7 @@ systems (B, p, p) within 2**15 elements unless one alone is larger. A task
 is a run of whole blocks, so ``--workers`` never moves a block boundary, and
 each slice gets the bits it gets alone (see the ``location`` module docstring).
 Tasks run here and in children forked after the OpenBLAS pin and malloc
-thresholds, which inherit both, the config and the payloads; values come back.
+thresholds, which inherit both and the tasks; values come back.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInputError, fields_from_json, fields_to_json
 from .linalg import _signs_about
-from .location import MedianOptions, _block_means, _spatial_medians
+from .location import MedianOptions, _locations
 from .location import spatial_median  # noqa: F401 - bound for bench/ tracer tests
 from .models import (
     EllipticalModel,
@@ -225,7 +225,7 @@ def _block_size(n: int, p: int) -> int:
     return max(1, 2**15 // (max(n, p) * p))
 
 
-def _table_values(c, payload, U) -> np.ndarray:
+def _table_values(c, U) -> np.ndarray:
     """n * ||SSCM - (1/p) I||^2 per slice of a block of signs U (B, n, p),
     through the n x n Gram matrix when p > n."""
     B, n, p = U.shape
@@ -236,32 +236,27 @@ def _table_values(c, payload, U) -> np.ndarray:
     return n * (S * S).reshape(B, -1).sum(axis=1)
 
 
-def _block_values(config, payload, X) -> np.ndarray:
-    """Replication values (B, n_methods) of a block of samples (B, n, p):
-    the statistic of the block's spatial signs about each location."""
+def _block_values(config, model, X) -> np.ndarray:
+    """Replication values (B, n_methods) of a block of samples (B, n, p) of the
+    model: the statistic of the block's spatial signs about each location,
+    "known" being the location fixed at the model's center."""
     value = STATISTICS[config.statistic].value
     out = np.empty((len(X), len(config.location_methods)))
     for k, method in enumerate(config.location_methods):
-        if method == "known":  # the model's center
-            t = payload["model"].mu
-        elif method == "mean":
-            t = _block_means(X)[:, None]
-        else:
-            t = _spatial_medians(X, config.median_options)[0][:, None]
-        out[:, k] = value(config, payload, _signs_about(X, t))
+        t = _locations(X, "fixed" if method == "known" else method, config.median_options, model.mu)
+        out[:, k] = value(config, _signs_about(X, t[0][:, None]))
     return out
 
 
 def _run_task(task) -> np.ndarray:
     """Values of replications rep_lo to rep_hi - 1 of a cell, a run of whole
     blocks; each samples from its own stream, one Philox re-keyed for each."""
-    config, payload, cell_index, rep_lo, rep_hi = task
-    model, n = payload["model"], payload["n"]
+    config, model, cell_index, rep_lo, rep_hi, n = task
     size, base = _block_size(n, model.p), cell_index * config.replications
     streams = _keyed_generators(
         _stream_keys(config.master_seed, range(base + rep_lo, base + rep_hi)))
     block_sizes = [min(size, rep_hi - lo) for lo in range(rep_lo, rep_hi, size)]
-    return np.vstack([_block_values(config, payload, _draw(model, n, B, islice(streams, B)))
+    return np.vstack([_block_values(config, model, _draw(model, n, B, islice(streams, B)))
                       for B in block_sizes])
 
 
@@ -396,10 +391,10 @@ def _forked_map(fn, items, workers: int) -> list:
     return [value for _, value in sorted(pairs, key=lambda pair: pair[0])]
 
 
-def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
-    """Replication values for every cell, shape (R, n_methods) each,
-    assembled in replication order regardless of worker count, with one
-    BLAS thread per process.
+def _collect_cells(config, grid, workers: int) -> list[np.ndarray]:
+    """Replication values for every (key, model) cell of the grid, shape (R,
+    n_methods) each, assembled in replication order regardless of worker
+    count, with one BLAS thread per process.
 
     A task is a run of whole blocks of one cell. The processes never
     outnumber the tasks or CPUs; there is one where CPython's
@@ -408,22 +403,22 @@ def _collect_cells(config, payloads, workers: int) -> list[np.ndarray]:
     workers = min(workers, os.cpu_count() or 1) if forks else 1
     R = config.replications
     tasks = []
-    for cell_index, payload in enumerate(payloads):
-        size = _block_size(payload["n"], payload["model"].p)
+    for cell_index, (key, model) in enumerate(grid):
+        size = _block_size(key["n"], model.p)
         chunk = size * math.ceil(math.ceil(R / size) / (workers * 4))
-        tasks += [(config, payload, cell_index, lo, min(R, lo + chunk))
+        tasks += [(config, model, cell_index, lo, min(R, lo + chunk), key["n"])
                   for lo in range(0, R, chunk)]
     with _one_blas_thread():
         chunks = _forked_map(_run_task, tasks, min(workers, len(tasks)))
     return [np.vstack([c for t, c in zip(tasks, chunks) if t[2] == k])
-            for k in range(len(payloads))]
+            for k in range(len(grid))]
 
 
 # ---------------------------------------------------------------------------
 # experiment families and the runner
 # ---------------------------------------------------------------------------
 
-def _mean_cell(config, key, method, values, reference) -> CellResult:
+def _mean_cell(config, key, method, values, extras, reference) -> CellResult:
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return CellResult(
         method=method, mean=float(values.mean()), se=se,
@@ -431,9 +426,11 @@ def _mean_cell(config, key, method, values, reference) -> CellResult:
     )
 
 
-def _qq_cell(config, key, method, values, reference) -> QQCellResult:
+def _qq_cell(config, key, method, values, extras, reference) -> QQCellResult:
+    """sqrt(n) * (S[i, j] - the population element) of the recorded S[i, j],
+    sorted and paired with the reference quantiles."""
     sigma2, quantiles = reference
-    sorted_vals = np.sort(values)
+    sorted_vals = np.sort(math.sqrt(key["n"]) * (values - extras["population_element"]))
     return QQCellResult(
         method=method,
         sigma2=sigma2,
@@ -483,10 +480,10 @@ class _Statistic:
     """One experiment family: its cells as (grid coordinates, model) pairs,
     the values a block of replications records from its spatial signs about
     one location (see _block_values), the reduction of a cell's values for
-    one method, the layout of each artifact: CSV header and rows, summary
-    header, and the result attributes (columns) that the metadata cells and
-    the summary lines show, and the config fields it never reads, which a
-    config must leave at their defaults."""
+    one method given the run's extras and reference, the layout of each
+    artifact: CSV header and rows, summary header, and the result attributes
+    (columns) that the metadata cells and the summary lines show, and the
+    config fields it never reads, which a config must leave at their defaults."""
 
     grid: Callable
     value: Callable
@@ -519,10 +516,7 @@ STATISTICS = {
     ),
     "qq": _Statistic(
         grid=lambda c: [({"n": n}, c.model) for n in c.n_grid],
-        value=lambda c, payload, U: math.sqrt(payload["n"]) * (
-            np.vecdot(U[..., c.element[0]], U[..., c.element[1]]) / payload["n"]
-            - payload["target"]
-        ),
+        value=lambda c, U: np.vecdot(U[..., c.element[0]], U[..., c.element[1]]) / U.shape[1],
         reduce=_qq_cell,
         csv_header=("n", "method", "rank", "empirical", "reference"),
         csv_rows=lambda c: [
@@ -539,7 +533,7 @@ STATISTICS = {
             for p in c.p_grid for g in c.gamma_grid for n in c.n_grid
         ],
         # the population off-diagonal is 0 since V = I
-        value=lambda c, payload, U: np.abs(np.vecdot(U[..., 0], U[..., 1])) / payload["n"],
+        value=lambda c, U: np.abs(np.vecdot(U[..., 0], U[..., 1])) / U.shape[1],
         reduce=_mean_cell,
         csv_header=("p", "gamma", "n", "method", "mean_abs_error", "se",
                     "replications"),
@@ -569,13 +563,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     stat = STATISTICS[config.statistic]
     extras, reference = _qq_reference(config) if config.statistic == "qq" else ({}, None)
     grid = stat.grid(config)
-    payloads = [
-        {"model": model, "n": key["n"], "target": extras.get("population_element")}
-        for key, model in grid
-    ]
-    values = _collect_cells(config, payloads, workers)
+    values = _collect_cells(config, grid, workers)
     cells = [
-        stat.reduce(config, key, method, vals[:, k], reference)
+        stat.reduce(config, key, method, vals[:, k], extras, reference)
         for (key, _), vals in zip(grid, values)
         for k, method in enumerate(config.location_methods)
     ]

@@ -110,7 +110,7 @@ def test_criterion_3_table_p1000_gram_path():
     # the block statistic routes through the Gram identity when p > n
     X = sample(gaussian_model([0.0] * 1000, np.eye(1000)), 5, SeededStream(1, 0))
     U = spatial_signs(X[None] - np.zeros(1000))
-    assert _table_values(None, None, U)[0] == 5 * frobenius_error_gram(
+    assert _table_values(None, U)[0] == 5 * frobenius_error_gram(
         X, np.zeros(1000)
     )
 

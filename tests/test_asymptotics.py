@@ -10,6 +10,7 @@ from signcov import (
     fixed_location_cov,
     gaussian_model,
     joint_mean_cov,
+    locate,
     location_sensitivity,
     sample,
     sandwich_cov,
@@ -245,3 +246,17 @@ def test_compute_bundle_consistency():
     assert d["fixed_cov"]["dims"] == [4, 4]
     assert d["sensitivity"]["dims"] == [4, 2]
     assert d["joint_cov"]["dims"] == [6, 6]
+
+
+@pytest.mark.parametrize("method", ["median", "fixed"])
+def test_compute_bundle_off_the_mean_has_only_the_fixed_pieces(method):
+    # the joint and plug-in covariances hold for the mean location alone
+    X = np.random.default_rng(52).exponential(1.0, size=(400, 2)) - 1.0
+    t = locate(X, method, t=ZERO2).estimate
+    bundle = compute_bundle(X, t, method)
+    assert bundle.fixed_cov.tobytes() == fixed_location_cov(X, t).tobytes()
+    assert bundle.sensitivity.tobytes() == location_sensitivity(X, t).tobytes()
+    assert bundle.joint_cov is None and bundle.plugin_cov is None
+    assert bundle.n_used == 400 and bundle.to_json_dict()["block_matrix"] is None
+    with pytest.raises(InvalidInputError, match="unknown location method"):
+        compute_bundle(X, t, "known")

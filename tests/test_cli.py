@@ -269,6 +269,10 @@ MALFORMED_INPUT = {
     "model_mu_mixed": ("oracle", {**SPHERICAL2, "mu": [0.0, True]}),
     "model_V_text": ("oracle", {**SPHERICAL2, "V": [["1", "0"], ["0", "1"]]}),
     "model_nu_true": ("oracle", {**SPHERICAL2, "generator": "student_t", "nu": True}),
+    # JSON's 1e400 reads as inf, which no parameter may be
+    "model_nu_infinite": ("oracle", {**SPHERICAL2, "generator": "student_t", "nu": 1e400}),
+    "model_gamma_infinite": ("oracle", {**SPHERICAL2, "generator": "singularity",
+                                        "gamma": 1e400}),
 }
 
 

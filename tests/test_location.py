@@ -34,6 +34,7 @@ from signcov.location import (
     _OVERFLOW_RADIUS,
     _anchored_optimal_at,
     _componentwise_medians,
+    _locations,
     _sign_resultant,
     _spatial_medians,
     _vertex_ruled_out,
@@ -89,6 +90,9 @@ LOCATE_CASES = {
     "right_triangle": (RIGHT_TRIANGLE, np.array([0.5, 0.5])),
     "mean_on_point": (np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]), np.zeros(2)),
     "gaussian": (np.random.default_rng(11).standard_normal((30, 4)), np.ones(4)),
+    # 800 entries alone, 2400 in a block of three: the block takes the per-coordinate passes
+    "p2_per_coordinate": (np.random.default_rng(12).standard_normal((400, 2)),
+                          np.array([-0.0, 0.25])),
 }
 
 
@@ -113,6 +117,13 @@ def test_locate_matches_each_estimator_bit_for_bit(case, method):
         _, loc, _ = sscm_plugin(X, method, opts, t)
         assert loc.estimate.tobytes() == res.estimate.tobytes()
         assert loc.anchored == res.anchored
+    # the block dispatcher gives each slice the bits of its own locate call
+    block = np.stack([X, X[::-1], 2.0 * X])
+    estimates, iterations, converged = _locations(block, method, opts, t)
+    for k, Y in enumerate(block):
+        one = locate(Y, method, opts, t)
+        assert estimates[k].tobytes() == one.estimate.tobytes()
+        assert (iterations[k], converged[k]) == (one.iterations, one.converged)
 
 
 def test_locate_anchored_flags():

@@ -339,7 +339,7 @@ def test_blocks_above_64_match_blocks_of_at_most_64(tmp_path, monkeypatch, worke
 
 
 def _block_cases():
-    """(config, payload) per statistic, with the table at p > n (the Gram
+    """(config, model, n) per statistic, with the table at p > n (the Gram
     path) and at p <= n."""
     qq = ExperimentConfig(statistic="qq", model=gaussian_model([0.0, 0.0], SHAPE),
                           n_grid=(12,), replications=9, master_seed=5)
@@ -357,10 +357,9 @@ def _block_cases():
 @pytest.mark.parametrize("case", sorted(_block_cases()))
 def test_block_values_match_one_replication_at_a_time(case):
     config, model, n = _block_cases()[case]
-    payload = {"model": model, "n": n, "target": 0.25}
     X = np.stack([sample(model, n, SeededStream(9, k)) for k in range(9)])
-    block = harness._block_values(config, payload, X)
-    one_by_one = np.vstack([harness._block_values(config, payload, x[None]) for x in X])
+    block = harness._block_values(config, model, X)
+    one_by_one = np.vstack([harness._block_values(config, model, x[None]) for x in X])
     assert block.shape == (9, 3) and block.tobytes() == one_by_one.tobytes()
 
 
@@ -373,13 +372,12 @@ def test_known_signs_at_a_zero_center_skip_only_a_plus_zero_subtraction(mu, skip
     model = gaussian_model(mu, SHAPE)
     config = ExperimentConfig(statistic="qq", model=model, n_grid=(6,), replications=3,
                               master_seed=5, location_methods=("known",))
-    payload = {"model": model, "n": 6, "target": 0.25}
     X = np.stack([sample(model, 6, SeededStream(9, k)) for k in range(3)])
     X[:, ::2, 0] = -0.0
     signed = []
     monkeypatch.setattr(linalg, "spatial_signs",
                         lambda D: signed.append(D) or spatial_signs(D))
-    harness._block_values(config, payload, X)
+    harness._block_values(config, model, X)
     assert signed[0].tobytes() == (X - np.asarray(mu)).tobytes()
     assert (signed[0] is X) == skips
     X0, t = X[0], np.asarray(mu)
@@ -407,7 +405,7 @@ def test_large_n_replication_rescues_no_norm(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rescaled", counting)
     X = sample(model, 20_000, SeededStream(3, 0))[None]
-    harness._block_values(config, {"model": model, "n": 20_000, "target": None}, X)
+    harness._block_values(config, model, X)
     median = location.spatial_median(X[0]).estimate
     nearest = X[0, linalg.row_norms(X[0] - median).argmin()]
     assert not location._anchored_optimal_at(X[0], nearest)

@@ -36,3 +36,17 @@ def test_unused_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the one location dispatcher, location._locations, is the only caller of these
+BLOCK_ESTIMATORS = {"_spatial_medians", "_block_means"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "location.py"],
+                         ids=lambda p: p.name)
+def test_only_location_reaches_the_block_estimators(path):
+    tree = ast.parse(path.read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & BLOCK_ESTIMATORS
